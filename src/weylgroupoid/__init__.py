@@ -54,6 +54,7 @@ from .scheme import (
     GENERATED,
     PRESCRIBED,
     TRUNCATED,
+    InconsistentSchemeError,
     RootGroupoidScheme,
     SchemeFormatError,
     ValidationReport,

@@ -144,8 +144,6 @@ def cmd_eq(args) -> int:
         return 0
     if g.target != h.target:
         print(f"NOT-EQUAL target mismatch: {s.objects[g.target]} != {s.objects[h.target]}")
-    elif g.source != h.source:
-        print(f"NOT-EQUAL source mismatch: {s.objects[g.source]} != {s.objects[h.source]}")
     else:
         print("NOT-EQUAL matrix mismatch")
     return 1
@@ -175,7 +173,14 @@ def cmd_braid(args) -> int:
 def cmd_longest(args) -> int:
     s = _materialized(_load(args.scheme), args.cutoff)
     base = _object(s, args.base)
-    g = groupoid.longest_element(s, base)
+    try:
+        g = groupoid.longest_element(s, base)
+    except scheme.InconsistentSchemeError:
+        failed = next((r for r in scheme.validate(s).results if not r.passed), None)
+        if failed is None:
+            raise
+        print(f"axiom {failed.axiom} FAIL ({failed.witness})")
+        return 1
     print(f"length {groupoid.length(s, g)}")
     print(f"word {_format_word(s, groupoid.canonical_reduced_word(s, g))}")
     print(f"target {s.objects[g.target]}")

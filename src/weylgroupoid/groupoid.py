@@ -26,6 +26,7 @@ from .intmat import (
 from .roots import rank_two_count
 from .scheme import (
     FINITE,
+    InconsistentSchemeError,
     RootGroupoidScheme,
     act,
     act_word,
@@ -195,20 +196,28 @@ def longest_element(s: RootGroupoidScheme, a: int) -> GroupoidElement:
     Built greedily: starting from the identity, keep appending any
     generator whose simple root is still sent to a positive root; the
     construction with target a is inverted at the end.  The result's
-    length is the number of positive roots.
+    length is the number of positive roots, so the construction stops
+    after that many steps; if it has not finished by then, the stored
+    roots violate the axioms and InconsistentSchemeError is raised.
     """
     check_object(s, a)
     _require_finite_roots(s)
+    bound = len(s.positive_roots[a])
     current = identity_element(s, a)
-    while True:
+    for steps in range(bound + 1):
         j = next(
             (j for j in range(s.rank) if not is_nonpos(mat_col(current.matrix, j))),
             None,
         )
         if j is None:
+            return inverse(current)
+        if steps == bound:
             break
         current = compose(current, generator_element(s, j, act(s, j, current.source)))
-    return inverse(current)
+    raise InconsistentSchemeError(
+        f"longest element from object {s.objects[a]} not reached within {bound} steps, "
+        "its number of positive roots; scheme data is inconsistent"
+    )
 
 
 def enumerate_elements(

@@ -56,7 +56,13 @@ class MoveChain:
 
 
 def _sources_along(s: RootGroupoidScheme, w: Word) -> list[int]:
-    """Object each letter acts from; entry k is for letters[k]."""
+    """Object each letter acts from; entry k is for letters[k].
+
+    Checks the word's base and letters first.
+    """
+    check_object(s, w.base)
+    for i in w.letters:
+        check_generator(s, i)
     n = len(w.letters)
     src = [0] * n if n else []
     obj = w.base
@@ -66,6 +72,23 @@ def _sources_along(s: RootGroupoidScheme, w: Word) -> list[int]:
     return src
 
 
+def _move_at(s: RootGroupoidScheme, w: Word, src: list[int], p: int) -> BraidMove | None:
+    """The braid move whose segment starts at position p, or None.
+
+    src is _sources_along(s, w); the one-position test behind both
+    applicable_moves and apply_move.
+    """
+    x, y = w.letters[p], w.letters[p + 1]
+    if x == y:
+        return None
+    m = rank_two_count(s, x, y, src[p])
+    if not isinstance(m, int) or p + m > len(w.letters):
+        return None
+    if all(w.letters[p + t] == (x if t % 2 == 0 else y) for t in range(m)):
+        return BraidMove(p, x, y, m, src[p + m - 1])
+    return None
+
+
 def applicable_moves(s: RootGroupoidScheme, w: Word) -> list[BraidMove]:
     """All braid moves applicable to the word, ordered by position.
 
@@ -73,31 +96,21 @@ def applicable_moves(s: RootGroupoidScheme, w: Word) -> list[BraidMove]:
     and its length equals the (finite) rank-two count of the pair at the
     object its rightmost letter acts from.
     """
-    check_object(s, w.base)
-    for i in w.letters:
-        check_generator(s, i)
-    n = len(w.letters)
     src = _sources_along(s, w)
-    moves = []
-    for p in range(n - 1):
-        x, y = w.letters[p], w.letters[p + 1]
-        if x == y:
-            continue
-        m = rank_two_count(s, x, y, src[p])
-        if not isinstance(m, int) or p + m > n:
-            continue
-        if all(w.letters[p + t] == (x if t % 2 == 0 else y) for t in range(m)):
-            moves.append(BraidMove(p, x, y, m, src[p + m - 1]))
-    return moves
+    moves = (_move_at(s, w, src, p) for p in range(len(w.letters) - 1))
+    return [mv for mv in moves if mv is not None]
 
 
 def apply_move(s: RootGroupoidScheme, w: Word, mv: BraidMove) -> Word:
     """Replace the segment by the opposite alternation.
 
-    The result has the same base, length, and evaluation.  Applying the
-    induced move at the same position again restores the original word.
+    Raises ValueError unless mv is one of applicable_moves(s, w); only the
+    move's own position is examined.  The result has the same base,
+    length, and evaluation.  Applying the induced move at the same
+    position again restores the original word.
     """
-    if mv not in applicable_moves(s, w):
+    src = _sources_along(s, w)
+    if mv.position not in range(len(w.letters) - 1) or _move_at(s, w, src, mv.position) != mv:
         raise ValueError("move is not applicable to this word")
     swapped = tuple(
         mv.second if t % 2 == 0 else mv.first for t in range(mv.m)

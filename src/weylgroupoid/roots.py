@@ -133,18 +133,15 @@ def _max_height(s: RootGroupoidScheme) -> int:
 def rank_two_count(s: RootGroupoidScheme, i: int, j: int, a: int) -> int | float:
     """Number of positive roots of an object supported on two generators.
 
-    For finite schemes this is a straight count over the stored set.  For
-    truncated schemes the alternating chain is walked instead, and
+    For finite schemes this is a lookup in the scheme's rank-two table,
+    which is computed once per scheme (RootGroupoidScheme.rank_two_counts).
+    For truncated schemes the alternating chain is walked instead, and
     ``math.inf`` is returned when the chain escapes the generation cutoff
     before closing.
     """
     _require_two_generators(s, i, j, a)
     if s.status == FINITE:
-        return sum(
-            1
-            for r in s.positive_roots[a]
-            if all(r[k] == 0 for k in range(s.rank) if k not in (i, j))
-        )
+        return s.rank_two_counts[i][j][a]
     bound = s.cutoff if s.cutoff is not None else 4 * _max_height(s)
     last = basis_vector(s.rank, j)
     seen: set[Vector] = set()

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Iterable, Sequence
 
 from .intmat import (
@@ -45,6 +46,10 @@ TRUNCATED = "truncated"
 
 class SchemeFormatError(ValueError):
     """A scheme file is malformed; the message names the offending field."""
+
+
+class InconsistentSchemeError(ValueError):
+    """Stored root data contradicts the axioms; validate() names which one."""
 
 
 @dataclass(frozen=True)
@@ -89,6 +94,38 @@ class RootGroupoidScheme:
 
     def simple_root(self, j: int) -> Vector:
         return basis_vector(self.rank, j)
+
+    @cached_property
+    def rank_two_counts(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
+        """Rank-two table: counts[i][j][a] for generators i, j and object a.
+
+        The entry is the number of stored positive roots of object a whose
+        coordinates outside {i, j} are all zero (the zero vector too), so the
+        table is symmetric in i and j and counts[i][i][a] is the number of
+        stored roots supported on i alone.  Built in one pass over the
+        stored roots on first use and kept on the instance, outside the
+        dataclass fields: equality, hashing and replace() ignore it, and a
+        replaced scheme builds its own.
+        """
+        if self.positive_roots is None:
+            raise ValueError("root sets are not materialized")
+        counts = [[[0] * self.n_objects for _ in range(self.rank)] for _ in range(self.rank)]
+        for a, pos in enumerate(self.positive_roots):
+            for r in pos:
+                support = {k for k, x in enumerate(r) if x != 0}
+                if len(support) > 2:
+                    continue
+                # support <= {i, j} exactly when support - {i} is empty
+                # (any j) or is {j}
+                for i in range(self.rank):
+                    rest = support - {i}
+                    if not rest:
+                        for j in range(self.rank):
+                            counts[i][j][a] += 1
+                    elif len(rest) == 1:
+                        (j,) = rest
+                        counts[i][j][a] += 1
+        return tuple(tuple(tuple(row) for row in per_i) for per_i in counts)
 
 
 def check_generator(s: RootGroupoidScheme, i: int) -> None:
@@ -493,11 +530,7 @@ def validate(s: RootGroupoidScheme) -> ValidationReport:
                 checked += 1
                 if witness is not None:
                     continue
-                d = sum(
-                    1
-                    for r in s.positive_roots[a]
-                    if all(r[k] == 0 for k in range(s.rank) if k not in (i, j))
-                )
+                d = s.rank_two_counts[i][j][a]
                 t = theta(s, i, j, a)
                 if d % t != 0:
                     witness = (

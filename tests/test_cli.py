@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -122,6 +125,34 @@ def test_longest(scheme_file, capsys):
     assert code == 0
     assert "length 10" in out
     assert "target d" in out
+
+
+def test_longest_on_invalid_scheme_names_axiom(tmp_path):
+    # affine A1 prescribed with its simple roots only; run as a subprocess
+    # so that a hang fails the test at the timeout instead of stalling it
+    path = tmp_path / "affine.json"
+    path.write_text(json.dumps({
+        "rank": 2, "objects": ["a"], "action": [[0], [0]],
+        "coefficients": [[[-1, 2]], [[2, -1]]], "mode": "prescribed",
+        "roots": [[[0, 1], [1, 0]]],
+    }), encoding="utf-8")
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(wg.__file__)))
+    p = subprocess.run(
+        [sys.executable, "-m", "weylgroupoid.cli", "longest", "--scheme", str(path),
+         "--base", "a", "--machine"],
+        capture_output=True, text=True, env=env, timeout=30,
+    )
+    assert p.returncode == 1
+    assert p.stdout.startswith("axiom 5 FAIL (generator 1 at object a")
+
+
+def test_longest_on_truncated_scheme_reports_truncation(tmp_path, capsys):
+    path = tmp_path / "affine.json"
+    path.write_text(wg.save_scheme(wg.from_cartan(((2, -2), (-2, 2)))), encoding="utf-8")
+    code = main(["longest", "--scheme", str(path), "--base", "a", "--cutoff", "5"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert "truncated" in captured.err and "axiom" not in captured.out
 
 
 def test_roots_lists_all_objects(scheme_file, capsys):

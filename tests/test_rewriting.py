@@ -1,7 +1,10 @@
+import dataclasses
 import itertools
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import weylgroupoid as wg
 from weylgroupoid import Word
@@ -9,6 +12,7 @@ from weylgroupoid.groupoid import generator_element
 from weylgroupoid.rewriting import BraidMove
 
 A, B, C, D, E = range(5)
+EX5 = wg.rank3_example()  # for the hypothesis test, which cannot take fixtures in its strategy
 
 DISPLAY = [
     Word(A, (0, 1, 0, 2, 1, 2, 0, 2, 1, 0)),
@@ -94,6 +98,53 @@ def test_applying_move_twice_restores(ex5):
 def test_apply_rejects_inapplicable_move(ex5):
     with pytest.raises(ValueError):
         wg.apply_move(ex5, Word(A, (0, 2)), BraidMove(0, 0, 1, 3, A))
+
+
+@st.composite
+def _word_and_move(draw):
+    """A word on the example and a move that may or may not apply to it.
+
+    Half the draws take an applicable move of the word, and half of those
+    redraw one of its fields, possibly to a wrong position, letter, m or
+    anchor; the rest build a move at random.
+    """
+    w = Word(draw(st.integers(0, 4)), tuple(draw(st.lists(st.integers(0, 2), min_size=2, max_size=9))))
+    fields = {
+        "position": st.integers(-2, len(w.letters) + 1),
+        "first": st.integers(0, 2),
+        "second": st.integers(0, 2),
+        "m": st.integers(0, 7),
+        "anchor": st.integers(0, 4),
+    }
+    moves = wg.applicable_moves(EX5, w)
+    if moves and draw(st.booleans()):
+        mv = draw(st.sampled_from(moves))
+        if draw(st.booleans()):
+            field = draw(st.sampled_from(sorted(fields)))
+            mv = dataclasses.replace(mv, **{field: draw(fields[field])})
+        return w, mv
+    return w, draw(st.builds(BraidMove, **fields))
+
+
+@settings(derandomize=True, database=None, max_examples=400, deadline=None)
+@given(case=_word_and_move())
+@example(case=(Word(A, (1, 2, 1, 2)), BraidMove(0, 1, 2, 4, A)))  # applicable
+@example(case=(Word(A, (1, 2, 1, 2)), BraidMove(0, 1, 2, 3, A)))  # wrong m
+@example(case=(Word(A, (1, 2, 1, 2)), BraidMove(0, 1, 2, 4, B)))  # wrong anchor
+@example(case=(Word(A, (1, 2, 1, 2)), BraidMove(-1, 1, 2, 4, A)))  # out of range
+@example(case=(Word(A, (1, 2, 1, 2)), BraidMove(3, 2, 1, 4, A)))  # out of range
+@example(case=(Word(A, (1, 2, 1, 2)), BraidMove(-2, 1, 2, 4, B)))  # negative index aliasing
+@example(case=(Word(A, (1, 2, 2, 1)), BraidMove(0, 1, 2, 4, A)))  # not alternating
+def test_apply_move_accepts_exactly_the_applicable_moves(case):
+    w, mv = case
+    applicable = mv in wg.applicable_moves(EX5, w)
+    try:
+        w2 = wg.apply_move(EX5, w, mv)
+    except ValueError:
+        assert not applicable
+    else:
+        assert applicable
+        assert wg.element_of_word(EX5, w2) == wg.element_of_word(EX5, w)
 
 
 # ---------------------------------------------------------------------------

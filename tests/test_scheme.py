@@ -203,6 +203,109 @@ def test_validate_requires_roots(ex5):
 
 
 # ---------------------------------------------------------------------------
+# rank-two table
+
+
+def _cartan(n, bonds):
+    """Cartan matrix of rank n; bonds maps (i, j) to (a_ij, a_ji)."""
+    c = [[2 if i == j else 0 for j in range(n)] for i in range(n)]
+    for (i, j), (aij, aji) in bonds.items():
+        c[i][j], c[j][i] = aij, aji
+    return tuple(tuple(row) for row in c)
+
+
+def _chain(n):
+    return {(k, k + 1): (-1, -1) for k in range(n - 1)}
+
+
+# name -> (Cartan matrix, number of positive roots)
+CARTAN_TYPES = {
+    "A4": (_cartan(4, _chain(4)), 10),
+    "B4": (_cartan(4, {**_chain(4), (2, 3): (-1, -2)}), 16),
+    "D5": (_cartan(5, {**_chain(4), (2, 4): (-1, -1)}), 20),
+    "F4": (_cartan(4, {**_chain(4), (1, 2): (-1, -2)}), 24),
+    "E6": (_cartan(6, {**_chain(5), (2, 5): (-1, -1)}), 36),
+    "G2": (_cartan(2, {(0, 1): (-1, -3)}), 6),
+}
+
+
+def _cartan_scheme(name):
+    c, n_pos = CARTAN_TYPES[name]
+    s = wg.generate_roots(wg.from_cartan(c), 30)
+    assert s.status == wg.FINITE and len(s.positive_roots[0]) == n_pos
+    return s
+
+
+def _brute_force_count(s, i, j, a):
+    return sum(
+        1
+        for r in s.positive_roots[a]
+        if all(r[k] == 0 for k in range(s.rank) if k not in (i, j))
+    )
+
+
+def _table_scheme(name, ex5):
+    if name == "example":
+        return ex5
+    if name == "example-zero-vector":
+        # hand-built and invalid (axiom 2): the zero vector lies on every pair
+        roots = list(ex5.positive_roots)
+        roots[A] = roots[A] + ((0, 0, 0),)
+        return dataclasses.replace(ex5, positive_roots=tuple(roots))
+    if name == "bichar-rank-4":
+        # five objects, thirteen positive roots each
+        exponents = ((2, 2, 0, 0), (0, 2, 1, 0), (0, 0, 3, 1), (0, 0, 0, 3))
+        return wg.generate_roots(wg.from_bicharacter(exponents, 12, 4), 30)
+    return _cartan_scheme(name)
+
+
+@pytest.mark.parametrize(
+    "name", ["example", "example-zero-vector", "bichar-rank-4"] + sorted(CARTAN_TYPES)
+)
+def test_rank_two_table_matches_brute_force(ex5, name):
+    s = _table_scheme(name, ex5)
+    assert s.status == wg.FINITE
+    for i in range(s.rank):
+        for j in range(s.rank):
+            for a in range(s.n_objects):
+                assert s.rank_two_counts[i][j][a] == _brute_force_count(s, i, j, a)
+
+
+@pytest.mark.parametrize("name", sorted(CARTAN_TYPES))
+def test_rank_two_table_cartan_closed_form(name):
+    # m_ij = 2, 3, 4, 6 when a_ij * a_ji = 0, 1, 2, 3
+    c = CARTAN_TYPES[name][0]
+    s = _cartan_scheme(name)
+    for i in range(s.rank):
+        for j in range(s.rank):
+            if i != j:
+                assert s.rank_two_counts[i][j][0] == {0: 2, 1: 3, 2: 4, 3: 6}[c[i][j] * c[j][i]]
+
+
+def test_rank_two_table_leaves_equality_and_hash(ex5):
+    fresh = dataclasses.replace(ex5)
+    assert "rank_two_counts" not in vars(fresh)
+    ex5.rank_two_counts
+    assert "rank_two_counts" in vars(ex5)
+    assert fresh == ex5 and hash(fresh) == hash(ex5)
+    assert repr(fresh) == repr(ex5)
+
+
+def test_rank_two_table_rebuilt_on_replace(ex5):
+    assert ex5.rank_two_counts[1][2][A] == 4
+    roots = list(ex5.positive_roots)
+    roots[A] = tuple(r for r in roots[A] if r != (0, 2, 1))
+    mutated = dataclasses.replace(ex5, positive_roots=tuple(roots))
+    assert mutated.rank_two_counts[1][2][A] == 3
+    assert ex5.rank_two_counts[1][2][A] == 4
+
+
+def test_rank_two_table_requires_roots(ex5):
+    with pytest.raises(ValueError, match="materialized"):
+        wg.strip_roots(ex5).rank_two_counts
+
+
+# ---------------------------------------------------------------------------
 # restriction
 
 
