@@ -86,6 +86,15 @@ def _parse_matrix_file(text: str) -> tuple[tuple[int, ...], ...]:
     return tuple(rows)
 
 
+def _report_failed_axiom(s: RootGroupoidScheme, error: scheme.InconsistentSchemeError) -> int:
+    """Print the first failing axiom with its witness and return 1; re-raise if none fails."""
+    failed = next((r for r in scheme.validate(s).results if not r.passed), None)
+    if failed is None:
+        raise error
+    print(f"axiom {failed.axiom} FAIL ({failed.witness})")
+    return 1
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -127,8 +136,14 @@ def cmd_reduce(args) -> int:
     base = _object(s, args.base)
     w = Word(base, _parse_word(s, args.word))
     g = groupoid.element_of_word(s, w)
-    canon = groupoid.canonical_reduced_word(s, g)
-    print(f"length {groupoid.length(s, g)}")
+    n = groupoid.length(s, g)
+    try:
+        canon = groupoid.canonical_reduced_word(s, g)
+        if len(canon) != n:
+            raise scheme.InconsistentSchemeError(f"canonical word has {len(canon)} letters, length {n}")
+    except scheme.InconsistentSchemeError as e:
+        return _report_failed_axiom(s, e)
+    print(f"length {n}")
     print(f"word {_format_word(s, canon)}")
     print(f"target {s.objects[g.target]}")
     return 0
@@ -175,12 +190,8 @@ def cmd_longest(args) -> int:
     base = _object(s, args.base)
     try:
         g = groupoid.longest_element(s, base)
-    except scheme.InconsistentSchemeError:
-        failed = next((r for r in scheme.validate(s).results if not r.passed), None)
-        if failed is None:
-            raise
-        print(f"axiom {failed.axiom} FAIL ({failed.witness})")
-        return 1
+    except scheme.InconsistentSchemeError as e:
+        return _report_failed_axiom(s, e)
     print(f"length {groupoid.length(s, g)}")
     print(f"word {_format_word(s, groupoid.canonical_reduced_word(s, g))}")
     print(f"target {s.objects[g.target]}")

@@ -9,8 +9,10 @@ discovered as fingerprints of those invariants.
 
 from __future__ import annotations
 
-from .intmat import Matrix
-from .scheme import GENERATED, RootGroupoidScheme
+import math
+
+from .intmat import Matrix, mat_mul, transpose
+from .scheme import GENERATED, RootGroupoidScheme, reflection_from_coefficients
 
 GENERIC = "generic"
 
@@ -76,17 +78,14 @@ def basis_fingerprint(diag, sym, order: int | None) -> Fingerprint:
     return tuple(x % order for x in diag), tuple(x % order for x in sym)
 
 
-def _sym_index(n: int, i: int, j: int) -> int:
-    # position of the unordered pair in the packed upper triangle
-    if i > j:
-        i, j = j, i
-    return i * n - i * (i + 1) // 2 + (j - i - 1)
-
-
 def _coefficient(diag_i: int, sym_ij: int, order: int | None) -> int | None:
     """Smallest m >= 0 making the reflection admissible on index pair.
 
-    Finite order: (m + 1) * d_i = 0 or m * d_i + s_ij = 0, both mod order.
+    Finite order N: (m + 1) * d_i = 0 or m * d_i + s_ij = 0, both mod N.
+    With g = gcd(d_i, N) and P = N / g, the first holds exactly when P
+    divides m + 1, so m = P - 1 always qualifies.  The second is solvable
+    exactly when g divides s_ij, with least solution
+    m = (-s_ij / g) * (d_i / g)^-1 mod P, which is below P.
     Generic: only the second condition can hold, over the integers.
     """
     if order is None:
@@ -95,10 +94,11 @@ def _coefficient(diag_i: int, sym_ij: int, order: int | None) -> int | None:
         if sym_ij % diag_i == 0 and -sym_ij // diag_i >= 0:
             return -sym_ij // diag_i
         return None
-    for m in range(order):
-        if ((m + 1) * diag_i) % order == 0 or (m * diag_i + sym_ij) % order == 0:
-            return m
-    return None
+    g = math.gcd(diag_i, order)
+    p = order // g
+    if sym_ij % g != 0:
+        return p - 1
+    return -sym_ij // g * pow(diag_i // g, -1, p) % p
 
 
 def from_bicharacter(
@@ -111,11 +111,17 @@ def from_bicharacter(
     of unity and exponent conditions are integer equalities).  ``cutoff``
     bounds the number of objects discovered before giving up.
 
-    Objects are equivalence classes of bases under the fingerprint of
-    basis_fingerprint; discovery is breadth-first, numbering objects by
-    first appearance.  Raises NotArithmeticError when some reflection
-    coefficient has no finite value or some diagonal exponent degenerates
-    to zero, and ValueError when the object cutoff is exceeded.
+    Each object keeps the exponent matrix B of its first basis found.
+    The reflection at generator i has the matrix S of
+    reflection_from_coefficients, with coefficients read from
+    d_i = B[i][i] and s_ij = B[i][j] + B[j][i]; its target basis carries
+    the reflected bicharacter, exponent matrix S^T B S (reduced mod the
+    order when finite).  Objects are equivalence classes of bases under
+    the fingerprint of basis_fingerprint; discovery is breadth-first,
+    numbering objects by first appearance.  Raises NotArithmeticError
+    when some reflection coefficient has no finite value or some diagonal
+    exponent degenerates to zero, and ValueError when the object cutoff
+    is exceeded.
     """
     n = len(exponents)
     if n == 0 or any(len(row) != n for row in exponents):
@@ -125,81 +131,56 @@ def from_bicharacter(
     if cutoff < 1:
         raise ValueError("object cutoff must be at least 1")
 
-    diag0 = [exponents[i][i] for i in range(n)]
-    sym0 = [
-        exponents[i][j] + exponents[j][i]
-        for i in range(n)
-        for j in range(i + 1, n)
-    ]
-    start = basis_fingerprint(diag0, sym0, order)
+    def reduced(b: Matrix) -> Matrix:
+        return b if order is None else tuple(tuple(x % order for x in row) for row in b)
+
+    def fingerprint(b: Matrix) -> Fingerprint:
+        diag = [b[i][i] for i in range(n)]
+        sym = [b[i][j] + b[j][i] for i in range(n) for j in range(i + 1, n)]
+        return basis_fingerprint(diag, sym, order)
 
     def check_diag(fp: Fingerprint, label: str) -> None:
-        diag = fp[0]
-        for i, d in enumerate(diag):
-            degenerate = (d % order == 0) if order is not None else (d == 0)
-            if degenerate:
+        for i, d in enumerate(fp[0]):  # reduced mod a finite order
+            if d == 0:
                 raise NotArithmeticError(
                     f"diagonal exponent of index {i + 1} is trivial at object {label}"
                 )
 
-    check_diag(start, "0")
+    start = reduced(tuple(tuple(row) for row in exponents))
+    start_fp = fingerprint(start)
+    check_diag(start_fp, "0")
 
-    index_of: dict[Fingerprint, int] = {start: 0}
-    fingerprints: list[Fingerprint] = [start]
+    index_of: dict[Fingerprint, int] = {start_fp: 0}
+    bases: list[Matrix] = [start]
     action: list[list[int]] = [[] for _ in range(n)]
     coefficients: list[list[tuple[int, ...]]] = [[] for _ in range(n)]
 
     pos = 0
-    while pos < len(fingerprints):
-        fp = fingerprints[pos]
-        diag, sym = fp
+    while pos < len(bases):
+        b = bases[pos]
         for i in range(n):
             coeff = []
             for j in range(n):
-                if j == i:
-                    coeff.append(-1)
-                    continue
-                m = _coefficient(diag[i], sym[_sym_index(n, i, j)], order)
+                m = -1 if j == i else _coefficient(b[i][i], b[i][j] + b[j][i], order)
                 if m is None:
                     raise NotArithmeticError(
                         f"not arithmetic at object {pos}, generator {i + 1}, index {j + 1}"
                     )
                 coeff.append(m)
-            new_diag = list(diag)
-            new_sym = list(sym)
-            for j in range(n):
-                if j == i:
-                    continue
-                mj = coeff[j]
-                new_diag[j] = diag[j] + mj * sym[_sym_index(n, i, j)] + mj * mj * diag[i]
-            for j in range(n):
-                for k in range(j + 1, n):
-                    if i in (j, k):
-                        other = k if i == j else j
-                        mo = coeff[other]
-                        new_sym[_sym_index(n, j, k)] = -(
-                            sym[_sym_index(n, j, k)] + 2 * mo * diag[i]
-                        )
-                    else:
-                        mj, mk = coeff[j], coeff[k]
-                        new_sym[_sym_index(n, j, k)] = (
-                            sym[_sym_index(n, j, k)]
-                            + mj * sym[_sym_index(n, i, k)]
-                            + mk * sym[_sym_index(n, i, j)]
-                            + 2 * mj * mk * diag[i]
-                        )
-            target_fp = basis_fingerprint(new_diag, new_sym, order)
+            refl = reflection_from_coefficients(i, coeff)
+            target = reduced(mat_mul(transpose(refl), mat_mul(b, refl)))
+            target_fp = fingerprint(target)
             if target_fp not in index_of:
-                check_diag(target_fp, str(len(fingerprints)))
-                if len(fingerprints) == cutoff:
+                check_diag(target_fp, str(len(bases)))
+                if len(bases) == cutoff:
                     raise ValueError(f"object cutoff {cutoff} exceeded")
-                index_of[target_fp] = len(fingerprints)
-                fingerprints.append(target_fp)
+                index_of[target_fp] = len(bases)
+                bases.append(target)
             action[i].append(index_of[target_fp])
             coefficients[i].append(tuple(coeff))
         pos += 1
 
-    nobj = len(fingerprints)
+    nobj = len(bases)
     return RootGroupoidScheme(
         rank=n,
         objects=tuple(str(k) for k in range(nobj)),

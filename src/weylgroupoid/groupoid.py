@@ -168,12 +168,15 @@ def canonical_reduced_word(s: RootGroupoidScheme, g: GroupoidElement) -> Word:
 
     Deterministic: at each step the smallest generator index among the
     right descents is removed.  The result has length equal to length(g)
-    and evaluates back to g.
+    and evaluates back to g.  If stripping finds no descent, or has not
+    reached the identity after as many letters as the source has positive
+    roots, InconsistentSchemeError is raised.
     """
     if g.is_zero:
         raise ValueError("the zero element has no reduced word")
     _require_finite_roots(s)
     base = g.source
+    bound = len(s.positive_roots[base])
     reversed_letters = []
     current = g
     identity = identity_matrix(s.rank)
@@ -181,8 +184,11 @@ def canonical_reduced_word(s: RootGroupoidScheme, g: GroupoidElement) -> Word:
         j = next(
             (j for j in range(s.rank) if is_nonpos(mat_col(current.matrix, j))), None
         )
-        if j is None:
-            raise ValueError("element has no descent but is not an identity; scheme data is inconsistent")
+        if j is None or len(reversed_letters) == bound:
+            raise InconsistentSchemeError(
+                f"stripping descents does not reach the identity within {bound} letters; "
+                "scheme data is inconsistent"
+            )
         reversed_letters.append(j)
         current = compose(current, generator_element(s, j, act(s, j, current.source)))
     if current.source != current.target:

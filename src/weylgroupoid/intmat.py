@@ -7,6 +7,7 @@ only transiently while inverting.
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 
 Vector = tuple[int, ...]
@@ -21,16 +22,17 @@ def basis_vector(n: int, j: int) -> Vector:
     return tuple(1 if k == j else 0 for k in range(n))
 
 
+def transpose(m: Matrix) -> Matrix:
+    return tuple(zip(*m))
+
+
 def mat_vec(m: Matrix, v: Vector) -> Vector:
-    return tuple(sum(row[k] * v[k] for k in range(len(v))) for row in m)
+    return tuple(sum(map(operator.mul, row, v)) for row in m)
 
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    n = len(b[0])
-    return tuple(
-        tuple(sum(row[k] * b[k][j] for k in range(len(b))) for j in range(n))
-        for row in a
-    )
+    cols = transpose(b)
+    return tuple(tuple(sum(map(operator.mul, row, col)) for col in cols) for row in a)
 
 
 def mat_col(m: Matrix, j: int) -> Vector:

@@ -112,15 +112,16 @@ def apply_move(s: RootGroupoidScheme, w: Word, mv: BraidMove) -> Word:
     src = _sources_along(s, w)
     if mv.position not in range(len(w.letters) - 1) or _move_at(s, w, src, mv.position) != mv:
         raise ValueError("move is not applicable to this word")
+    return _swap(w, mv)
+
+
+def _swap(w: Word, mv: BraidMove) -> Word:
+    """The word with the move's segment replaced; mv must come from applicable_moves(s, w)."""
     swapped = tuple(
         mv.second if t % 2 == 0 else mv.first for t in range(mv.m)
     )
     letters = w.letters[: mv.position] + swapped + w.letters[mv.position + mv.m :]
     return Word(w.base, letters)
-
-
-def _neighbors(s: RootGroupoidScheme, w: Word) -> list[Word]:
-    return [apply_move(s, w, mv) for mv in applicable_moves(s, w)]
 
 
 def _word_key(w: Word):
@@ -176,7 +177,7 @@ def braid_connect(s: RootGroupoidScheme, u: Word, v: Word) -> MoveChain:
         meets = []
         for w in sorted(frontier, key=_word_key):
             for mv in applicable_moves(s, w):
-                w2 = apply_move(s, w, mv)
+                w2 = _swap(w, mv)
                 if w2 not in side:
                     side[w2] = (w, mv)
                     nxt.append(w2)
@@ -228,7 +229,8 @@ def all_reduced_words(s: RootGroupoidScheme, g: GroupoidElement) -> set[Word]:
     frontier = [start]
     while frontier:
         w = frontier.pop()
-        for w2 in _neighbors(s, w):
+        for mv in applicable_moves(s, w):
+            w2 = _swap(w, mv)
             if w2 not in seen:
                 seen.add(w2)
                 frontier.append(w2)

@@ -9,6 +9,7 @@ mistaken for a complete system.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, replace
 from typing import Iterator, Sequence
@@ -17,8 +18,10 @@ from .intmat import (
     Vector,
     basis_vector,
     height,
+    identity_matrix,
     is_nonneg,
     is_nonpos,
+    mat_col,
     mat_mul,
     mat_vec,
     neg,
@@ -37,27 +40,23 @@ from .scheme import (
 def reflect(s: RootGroupoidScheme, i: int, a: int, r: Vector) -> Vector:
     """Apply the reflection at (i, a) to a vector in a-coordinates.
 
-    Coordinate i becomes -r[i] plus the coefficient-weighted sum of the
-    other coordinates; the rest are unchanged.  The result is expressed in
+    The result is reflection_matrix(s, i, a) times r, expressed in
     (i |> a)-coordinates.
     """
-    check_generator(s, i)
-    check_object(s, a)
+    mat = reflection_matrix(s, i, a)
     if len(r) != s.rank:
         raise ValueError(f"vector has {len(r)} coordinates, expected {s.rank}")
-    coeffs = s.coefficients[i][a]
-    new_i = -r[i] + sum(coeffs[j] * r[j] for j in range(s.rank) if j != i)
-    return tuple(new_i if j == i else r[j] for j in range(s.rank))
+    return mat_vec(mat, r)
 
 
 def generate_roots(s: RootGroupoidScheme, cutoff: int) -> RootGroupoidScheme:
     """Materialize the real-root sets of a generated-mode scheme.
 
-    Sweeps reflections over the accumulated per-object vector sets,
-    keeping every image of height at most ``cutoff``, until a full sweep
-    adds nothing.  The returned scheme stores the positive halves and is
-    marked "finite" if every reflection maps the accumulated sets
-    bijectively onto each other, "truncated" otherwise.
+    Starting from the simple roots, reflects every vector found by every
+    generator once, keeping each image of height at most ``cutoff``,
+    until no vector is left to reflect.  The returned scheme stores the
+    positive halves and is marked "finite" if every reflection maps the
+    accumulated sets bijectively onto each other, "truncated" otherwise.
     """
     if s.mode != GENERATED:
         raise ValueError("root generation applies to generated-mode schemes")
@@ -67,17 +66,16 @@ def generate_roots(s: RootGroupoidScheme, cutoff: int) -> RootGroupoidScheme:
     found: list[set[Vector]] = [
         {basis_vector(s.rank, j) for j in range(s.rank)} for _ in range(s.n_objects)
     ]
-    changed = True
-    while changed:
-        changed = False
+    mats = [[reflection_matrix(s, i, a) for a in range(s.n_objects)] for i in range(s.rank)]
+    pending = [(a, r) for a in range(s.n_objects) for r in found[a]]
+    while pending:
+        a, r = pending.pop()
         for i in range(s.rank):
-            for a in range(s.n_objects):
-                target = s.action[i][a]
-                for r in list(found[a]):
-                    v = reflect(s, i, a, r)
-                    if height(v) <= cutoff and v not in found[target]:
-                        found[target].add(v)
-                        changed = True
+            v = mat_vec(mats[i][a], r)
+            target = s.action[i][a]
+            if height(v) <= cutoff and v not in found[target]:
+                found[target].add(v)
+                pending.append((target, v))
 
     positive = tuple(tuple(sorted(v for v in vs if is_nonneg(v))) for vs in found)
 
@@ -88,8 +86,7 @@ def generate_roots(s: RootGroupoidScheme, cutoff: int) -> RootGroupoidScheme:
             status = TRUNCATED  # some orbit vector had mixed signs
     for i in range(s.rank):
         for a in range(s.n_objects):
-            mat = reflection_matrix(s, i, a)
-            if frozenset(mat_vec(mat, r) for r in sets[a]) != sets[s.action[i][a]]:
+            if frozenset(mat_vec(mats[i][a], r) for r in sets[a]) != sets[s.action[i][a]]:
                 status = TRUNCATED
     return replace(s, positive_roots=positive, status=status, cutoff=cutoff)
 
@@ -102,18 +99,12 @@ def _chain_walk(s: RootGroupoidScheme, i: int, j: int, a: int) -> Iterator[Vecto
     a.  In a finite rank-two cone the walk produces exactly the cone and
     reaches the j-th simple root last; the caller decides when to stop.
     """
-    letters = (i, j)
-    transform = None  # identity until the first step
+    transform = identity_matrix(s.rank)
     obj = a
-    m = 0
-    while True:
-        letter = letters[m % 2]
-        simple = basis_vector(s.rank, letter)
-        yield simple if transform is None else mat_vec(transform, simple)
+    for letter in itertools.cycle((i, j)):
+        yield mat_col(transform, letter)
         obj = s.action[letter][obj]
-        mat = reflection_matrix(s, letter, obj)
-        transform = mat if transform is None else mat_mul(transform, mat)
-        m += 1
+        transform = mat_mul(transform, reflection_matrix(s, letter, obj))
 
 
 def _require_two_generators(s: RootGroupoidScheme, i: int, j: int, a: int) -> None:
@@ -210,15 +201,17 @@ def inversion_set(s: RootGroupoidScheme, letters: Sequence[int], a: int) -> Inve
     for i in letters:
         check_generator(s, i)
     m = len(letters)
+    mats = []  # the reflections of the word, rightmost letter first
+    obj = a
+    for letter in reversed(letters):
+        mats.append(reflection_matrix(s, letter, obj))
+        obj = s.action[letter][obj]
     entries = []
     for beta in s.positive_roots[a]:
         v = beta
-        obj = a
         negative_after = []  # after applying the last t letters, t = 1..m
-        for t in range(m):
-            letter = letters[m - 1 - t]
-            v = reflect(s, letter, obj, v)
-            obj = s.action[letter][obj]
+        for mat in mats:
+            v = mat_vec(mat, v)
             negative_after.append(is_nonpos(v))
         if m > 0 and negative_after[-1]:
             t_star = m  # start of the final negative run, as an application step

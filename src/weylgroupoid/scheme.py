@@ -178,23 +178,25 @@ def theta(s: RootGroupoidScheme, i: int, j: int, a: int) -> int:
     raise RuntimeError("theta recursion did not close on a finite object set")
 
 
+def reflection_from_coefficients(i: int, coeffs: Sequence[int]) -> Matrix:
+    """Matrix of the reflection of generator i with the given coefficients.
+
+    Row i is the coefficient vector with -1 in position i; all other rows
+    are standard basis rows.  Such matrices are involutions.
+    """
+    n = len(coeffs)
+    row_i = tuple(coeffs[:i]) + (-1,) + tuple(coeffs[i + 1 :])
+    return tuple(row_i if r == i else basis_vector(n, r) for r in range(n))
+
+
 def reflection_matrix(s: RootGroupoidScheme, i: int, a: int) -> Matrix:
     """Matrix of the reflection at (i, a), from a- to (i |> a)-coordinates.
 
-    Row i is the coefficient vector with -1 in position i; all other rows
-    are standard basis rows.  Such matrices are involutions, so the
-    reflection at (i, i |> a) with the same coefficients inverts this one.
+    The reflection at (i, i |> a) with the same coefficients inverts it.
     """
     check_generator(s, i)
     check_object(s, a)
-    coeffs = s.coefficients[i][a]
-    rows = []
-    for r in range(s.rank):
-        if r == i:
-            rows.append(tuple(-1 if j == i else coeffs[j] for j in range(s.rank)))
-        else:
-            rows.append(basis_vector(s.rank, r))
-    return tuple(rows)
+    return reflection_from_coefficients(i, s.coefficients[i][a])
 
 
 def full_root_set(s: RootGroupoidScheme, a: int) -> frozenset[Vector]:

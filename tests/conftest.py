@@ -1,3 +1,5 @@
+import json
+
 import pytest
 
 import weylgroupoid as wg
@@ -35,3 +37,19 @@ def rank1():
         ' "coefficients": [[[-1]]], "mode": "prescribed", "roots": [[[1]]]}'
     )
     return wg.load_scheme(text)
+
+
+@pytest.fixture
+def affine_file(tmp_path):
+    """Affine A1 prescribed with its simple roots only.
+
+    The file loads but fails axiom 5.  Its Coxeter group is infinite, so
+    element operations on it must stop at their bounds.
+    """
+    path = tmp_path / "affine.json"
+    path.write_text(json.dumps({
+        "rank": 2, "objects": ["a"], "action": [[0], [0]],
+        "coefficients": [[[-1, 2]], [[2, -1]]], "mode": "prescribed",
+        "roots": [[[0, 1], [1, 0]]],
+    }), encoding="utf-8")
+    return path

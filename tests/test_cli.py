@@ -127,21 +127,26 @@ def test_longest(scheme_file, capsys):
     assert "target d" in out
 
 
-def test_longest_on_invalid_scheme_names_axiom(tmp_path):
-    # affine A1 prescribed with its simple roots only; run as a subprocess
-    # so that a hang fails the test at the timeout instead of stalling it
-    path = tmp_path / "affine.json"
-    path.write_text(json.dumps({
-        "rank": 2, "objects": ["a"], "action": [[0], [0]],
-        "coefficients": [[[-1, 2]], [[2, -1]]], "mode": "prescribed",
-        "roots": [[[0, 1], [1, 0]]],
-    }), encoding="utf-8")
+def run_subprocess(*argv):
+    # a hang fails the calling test at the timeout instead of stalling it
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(wg.__file__)))
-    p = subprocess.run(
-        [sys.executable, "-m", "weylgroupoid.cli", "longest", "--scheme", str(path),
-         "--base", "a", "--machine"],
+    return subprocess.run(
+        [sys.executable, "-m", "weylgroupoid.cli", *argv],
         capture_output=True, text=True, env=env, timeout=30,
     )
+
+
+def test_longest_on_invalid_scheme_names_axiom(affine_file):
+    p = run_subprocess("longest", "--scheme", str(affine_file), "--base", "a", "--machine")
+    assert p.returncode == 1
+    assert p.stdout.startswith("axiom 5 FAIL (generator 1 at object a")
+
+
+@pytest.mark.parametrize("word", ["1 2 1 2", "1 2", "2 1 2 1 2 1"])
+def test_reduce_on_invalid_scheme_names_axiom(affine_file, word):
+    # "1 2 1 2" used to print "length 1"
+    p = run_subprocess("reduce", "--scheme", str(affine_file), "--base", "a",
+                       "--word", word, "--machine")
     assert p.returncode == 1
     assert p.stdout.startswith("axiom 5 FAIL (generator 1 at object a")
 

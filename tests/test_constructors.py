@@ -1,8 +1,13 @@
+import time
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import weylgroupoid as wg
 from weylgroupoid.constructors import (
     NotArithmeticError,
+    _coefficient,
     basis_fingerprint,
     from_bicharacter,
     from_cartan,
@@ -108,6 +113,56 @@ def test_order_six_input_reproduces_bundled_example(ex5):
     assert full.status == wg.FINITE
     assert all(len(pos) == 10 for pos in full.positive_roots)
     assert wg.validate(full).passed
+
+
+def _coefficient_by_scan(d, s, order):
+    # the definition: the smallest m >= 0 meeting either condition
+    for m in range(order):
+        if ((m + 1) * d) % order == 0 or (m * d + s) % order == 0:
+            return m
+    return None
+
+
+def test_coefficient_closed_form_matches_scan():
+    for order in range(1, 25):
+        for d in range(-order, 2 * order):
+            for s in range(-order, 2 * order):
+                assert _coefficient(d, s, order) == _coefficient_by_scan(d, s, order), (d, s, order)
+
+
+def test_large_order_is_fast():
+    start = time.perf_counter()
+    s = from_bicharacter(((2, 1), (0, 2)), 10, 10**8 + 1)
+    assert time.perf_counter() - start < 5
+    assert s.n_objects == 1
+    assert s.coefficients == (((-1, 5 * 10**7),), ((5 * 10**7, -1),))
+
+
+@st.composite
+def _bicharacters(draw):
+    # positive diagonals keep the start object arithmetic more often
+    n = draw(st.integers(2, 3))
+    order = draw(st.none() | st.integers(2, 12))
+    exponents = [
+        [draw(st.integers(1, 6) if i == j else st.integers(-6, 6)) for j in range(n)]
+        for i in range(n)
+    ]
+    return exponents, order
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(case=_bicharacters())
+def test_bicharacter_schemes_are_well_formed(case):
+    exponents, order = case
+    try:
+        s = from_bicharacter(exponents, 8, order)
+    except ValueError:  # not arithmetic, or more than 8 objects
+        return
+    assert all(s.action[i][s.action[i][a]] == a for i in range(s.rank) for a in range(s.n_objects))
+    assert wg.load_scheme(wg.save_scheme(s)) == s
+    full = wg.generate_roots(s, 30)
+    if full.status == wg.FINITE:
+        assert wg.validate(full).passed
 
 
 def test_fingerprint_is_permutation_sensitive_but_stable():

@@ -162,6 +162,14 @@ def test_canonical_word_is_reduced_and_canonical(ex5):
         assert wg.canonical_reduced_word(ex5, g) == w
 
 
+def test_canonical_word_is_bounded_on_inconsistent_roots(affine_file):
+    # (1 2)^2 has no reduced word within the two stored positive roots
+    aff = wg.load_scheme(affine_file.read_text(encoding="utf-8"))
+    g = wg.element_of_word(aff, Word(A, (0, 1, 0, 1)))
+    with pytest.raises(wg.InconsistentSchemeError, match="within 2 letters"):
+        wg.canonical_reduced_word(aff, g)
+
+
 # ---------------------------------------------------------------------------
 # longest elements and enumeration
 

@@ -6,6 +6,7 @@ from weylgroupoid.intmat import (
     mat_inverse,
     mat_mul,
     mat_vec,
+    transpose,
 )
 
 
@@ -13,6 +14,16 @@ def test_mat_mul_and_vec():
     m = ((1, 2), (0, 1))
     assert mat_vec(m, (3, 4)) == (11, 4)
     assert mat_mul(m, m) == ((1, 4), (0, 1))
+
+
+def test_mat_mul_and_vec_non_square():
+    a = ((1, 2, 3), (4, 5, 6))  # 2 x 3
+    b = ((1, 0), (0, 1), (2, -1))  # 3 x 2
+    assert mat_mul(a, b) == ((7, -1), (16, -1))
+    assert mat_mul(b, a) == ((1, 2, 3), (4, 5, 6), (-2, -1, 0))
+    assert mat_vec(a, (1, -1, 2)) == (5, 11)
+    assert mat_vec(b, (3, 1)) == (3, 1, 5)
+    assert transpose(a) == ((1, 4), (2, 5), (3, 6))
 
 
 def test_mat_inverse_unimodular():
