@@ -201,7 +201,10 @@ def cmd_longest(args) -> int:
 def cmd_enumerate(args) -> int:
     s = _materialized(_load(args.scheme), args.cutoff)
     source = _object(s, args.base) if args.base else None
-    elements = groupoid.enumerate_elements(s, source)
+    try:
+        elements = groupoid.enumerate_elements(s, source)
+    except scheme.InconsistentSchemeError as e:
+        return _report_failed_axiom(s, e)
     print(f"count {len(elements)}")
     for g in elements:
         flat = " ".join(str(x) for row in g.matrix for x in row)

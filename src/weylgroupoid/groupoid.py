@@ -25,9 +25,9 @@ from .intmat import (
 )
 from .roots import rank_two_count
 from .scheme import (
-    FINITE,
     InconsistentSchemeError,
     RootGroupoidScheme,
+    _require_finite_roots,
     act,
     act_word,
     check_generator,
@@ -130,13 +130,6 @@ def inverse(g: GroupoidElement) -> GroupoidElement:
     return GroupoidElement(g.target, g.source, mat_inverse(g.matrix))
 
 
-def _require_finite_roots(s: RootGroupoidScheme) -> None:
-    if s.positive_roots is None:
-        raise ValueError("root sets are not materialized")
-    if s.status != FINITE:
-        raise ValueError("operation requires finite root data, scheme is truncated")
-
-
 def length(s: RootGroupoidScheme, g: GroupoidElement):
     """Number of positive source roots sent negative; MINUS_INFINITY for zero.
 
@@ -232,19 +225,19 @@ def enumerate_elements(
     """All elements of the groupoid, by breadth-first closure.
 
     Starts from the identities and appends generators on the right;
-    terminates because the scheme is finite.  Sorted by (length, source,
+    level k of the search holds the elements of length k, so it ends by
+    the level after the largest number of positive roots of any object.
+    If that level is not empty, the stored roots violate the axioms and
+    InconsistentSchemeError is raised.  Sorted by (length, source,
     target, matrix); optionally filtered by source object.
     """
     _require_finite_roots(s)
     if source is not None:
         check_object(s, source)
-    depth: dict[GroupoidElement, int] = {}
+    bound = max(len(pos) for pos in s.positive_roots)
     frontier = [identity_element(s, a) for a in range(s.n_objects)]
-    for g in frontier:
-        depth[g] = 0
-    level = 0
-    while frontier:
-        level += 1
+    depth: dict[GroupoidElement, int] = {g: 0 for g in frontier}
+    for level in range(1, bound + 2):
         nxt = []
         for g in frontier:
             for j in range(s.rank):
@@ -253,6 +246,11 @@ def enumerate_elements(
                     depth[h] = level
                     nxt.append(h)
         frontier = nxt
+    if frontier:
+        raise InconsistentSchemeError(
+            f"elements of length {bound + 1} found, more than the {bound} positive roots "
+            "of any object; scheme data is inconsistent"
+        )
     items = sorted(depth.items(), key=lambda kv: (kv[1], kv[0].source, kv[0].target, kv[0].matrix))
     return [g for g, _ in items if source is None or g.source == source]
 

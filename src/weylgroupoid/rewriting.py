@@ -21,13 +21,12 @@ from .groupoid import (
     compose,
     element_of_word,
     generator_element,
-    inverse,
     length,
     word_target,
 )
 from .intmat import basis_vector, mat_col
 from .roots import rank_two_count
-from .scheme import RootGroupoidScheme, act, act_word, check_generator, check_object
+from .scheme import RootGroupoidScheme, act, check_generator, check_object
 
 
 @dataclass(frozen=True)
@@ -313,18 +312,14 @@ def weak_exchange_factor(
         if not isinstance(d, int):
             raise RuntimeError("rank-two count is infinite; factorization is invalid")
         blk_letters = tuple(jt if t % 2 == 0 else k_current for t in range(d - 1))
-        blk_base = act_word(s, tuple(reversed(blk_letters)), tail_target)
-        blk = Word(blk_base, blk_letters)
-        blk_el = element_of_word(s, blk)
-        rest = compose(inverse(blk_el), element_of_word(s, tail))
-        if rest.is_zero:
-            raise RuntimeError("block does not divide the word; factorization is invalid")
+        # the block's inverse followed by the tail; it ends at the block's base
+        rest = element_of_word(s, Word(tail.base, blk_letters[::-1] + tail.letters))
         rest_len = length(s, rest)
         if rest_len != len(tail.letters) - (d - 1):
             raise RuntimeError("block stripping did not shorten as required")
         js.append(jt)
         ks.append(k_current)
-        anchors.append(blk_base)
+        anchors.append(rest.target)
         block_sizes.append(d)
         k_next = jt if d % 2 == 1 else k_current
         tail = canonical_reduced_word(s, rest)

@@ -31,6 +31,8 @@ from .scheme import (
     GENERATED,
     TRUNCATED,
     RootGroupoidScheme,
+    _require_finite_roots,
+    _require_roots,
     check_generator,
     check_object,
     reflection_matrix,
@@ -56,7 +58,8 @@ def generate_roots(s: RootGroupoidScheme, cutoff: int) -> RootGroupoidScheme:
     generator once, keeping each image of height at most ``cutoff``,
     until no vector is left to reflect.  The returned scheme stores the
     positive halves and is marked "finite" if every reflection maps the
-    accumulated sets bijectively onto each other, "truncated" otherwise.
+    accumulated sets bijectively onto each other and each set is its
+    positive half together with the negatives, "truncated" otherwise.
     """
     if s.mode != GENERATED:
         raise ValueError("root generation applies to generated-mode schemes")
@@ -68,26 +71,24 @@ def generate_roots(s: RootGroupoidScheme, cutoff: int) -> RootGroupoidScheme:
     ]
     mats = [[reflection_matrix(s, i, a) for a in range(s.n_objects)] for i in range(s.rank)]
     pending = [(a, r) for a in range(s.n_objects) for r in found[a]]
+    dropped = False
     while pending:
         a, r = pending.pop()
         for i in range(s.rank):
             v = mat_vec(mats[i][a], r)
             target = s.action[i][a]
-            if height(v) <= cutoff and v not in found[target]:
+            if height(v) > cutoff:
+                dropped = True
+            elif v not in found[target]:
                 found[target].add(v)
                 pending.append((target, v))
 
     positive = tuple(tuple(sorted(v for v in vs if is_nonneg(v))) for vs in found)
-
-    status = FINITE
-    sets = [frozenset(pos) | frozenset(neg(r) for r in pos) for pos in positive]
-    for a in range(s.n_objects):
-        if len(sets[a]) != len(found[a]):
-            status = TRUNCATED  # some orbit vector had mixed signs
-    for i in range(s.rank):
-        for a in range(s.n_objects):
-            if frozenset(mat_vec(mats[i][a], r) for r in sets[a]) != sets[s.action[i][a]]:
-                status = TRUNCATED
+    # With nothing dropped, every reflection maps found[a] into
+    # found[i |> a]; reflections are injective, so equal sizes make it onto.
+    onto = all(len(found[a]) == len(found[b]) for row in s.action for a, b in enumerate(row))
+    coherent = all(vs == set(pos) | {neg(r) for r in pos} for vs, pos in zip(found, positive))
+    status = FINITE if not dropped and onto and coherent else TRUNCATED
     return replace(s, positive_roots=positive, status=status, cutoff=cutoff)
 
 
@@ -113,12 +114,32 @@ def _require_two_generators(s: RootGroupoidScheme, i: int, j: int, a: int) -> No
     check_object(s, a)
     if i == j:
         raise ValueError("rank-two data requires two distinct generators")
-    if s.positive_roots is None:
-        raise ValueError("root sets are not materialized")
+    _require_roots(s)
 
 
 def _max_height(s: RootGroupoidScheme) -> int:
     return max(height(r) for pos in s.positive_roots for r in pos)
+
+
+def _closing_chain(
+    s: RootGroupoidScheme, i: int, j: int, a: int, bound: int
+) -> tuple[list[Vector], Vector | None]:
+    """Walk the rank-two chain at a until it reaches the j-th simple root.
+
+    Returns the distinct roots walked and the root that stopped the walk
+    early, None when the chain closed.  The walk stops early at a root of
+    height above bound or at a root it has already walked.
+    """
+    last = basis_vector(s.rank, j)
+    chain: list[Vector] = []
+    seen: set[Vector] = set()
+    for root in _chain_walk(s, i, j, a):
+        if height(root) > bound or root in seen:
+            return chain, root
+        seen.add(root)
+        chain.append(root)
+        if root == last:
+            return chain, None
 
 
 def rank_two_count(s: RootGroupoidScheme, i: int, j: int, a: int) -> int | float:
@@ -134,18 +155,12 @@ def rank_two_count(s: RootGroupoidScheme, i: int, j: int, a: int) -> int | float
     if s.status == FINITE:
         return s.rank_two_counts[i][j][a]
     bound = s.cutoff if s.cutoff is not None else 4 * _max_height(s)
-    last = basis_vector(s.rank, j)
-    seen: set[Vector] = set()
-    d = 0
-    for root in _chain_walk(s, i, j, a):
-        if height(root) > bound:
-            return math.inf
-        if root in seen:
-            raise ValueError("rank-two chain cycles without closing; scheme data is inconsistent")
-        seen.add(root)
-        d += 1
-        if root == last:
-            return d
+    chain, stop = _closing_chain(s, i, j, a, bound)
+    if stop is None:
+        return len(chain)
+    if height(stop) > bound:
+        return math.inf
+    raise ValueError("rank-two chain cycles without closing; scheme data is inconsistent")
 
 
 def rank_two_positive_chain(s: RootGroupoidScheme, i: int, j: int, a: int) -> tuple[Vector, ...]:
@@ -159,16 +174,10 @@ def rank_two_positive_chain(s: RootGroupoidScheme, i: int, j: int, a: int) -> tu
     bound = _max_height(s)
     if s.cutoff is not None:
         bound = max(bound, s.cutoff)
-    last = basis_vector(s.rank, j)
-    chain: list[Vector] = []
-    seen: set[Vector] = set()
-    for root in _chain_walk(s, i, j, a):
-        if height(root) > bound or root in seen:
-            raise ValueError("rank-two component at this object is infinite or truncated")
-        seen.add(root)
-        chain.append(root)
-        if root == last:
-            return tuple(chain)
+    chain, stop = _closing_chain(s, i, j, a, bound)
+    if stop is not None:
+        raise ValueError("rank-two component at this object is infinite or truncated")
+    return tuple(chain)
 
 
 @dataclass(frozen=True)
@@ -193,10 +202,7 @@ class InversionSet:
 def inversion_set(s: RootGroupoidScheme, letters: Sequence[int], a: int) -> InversionSet:
     """Positive roots of object a sent to negative roots by the word."""
     check_object(s, a)
-    if s.positive_roots is None:
-        raise ValueError("root sets are not materialized")
-    if s.status != FINITE:
-        raise ValueError("inversion sets require finite root data")
+    _require_finite_roots(s)
     letters = tuple(letters)
     for i in letters:
         check_generator(s, i)

@@ -21,9 +21,10 @@ names, matching the command-line convention.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, replace
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .intmat import (
     Matrix,
@@ -107,8 +108,7 @@ class RootGroupoidScheme:
         dataclass fields: equality, hashing and replace() ignore it, and a
         replaced scheme builds its own.
         """
-        if self.positive_roots is None:
-            raise ValueError("root sets are not materialized")
+        _require_roots(self)
         counts = [[[0] * self.n_objects for _ in range(self.rank)] for _ in range(self.rank)]
         for a, pos in enumerate(self.positive_roots):
             for r in pos:
@@ -126,6 +126,17 @@ class RootGroupoidScheme:
                         (j,) = rest
                         counts[i][j][a] += 1
         return tuple(tuple(tuple(row) for row in per_i) for per_i in counts)
+
+
+def _require_roots(s: RootGroupoidScheme) -> None:
+    if s.positive_roots is None:
+        raise ValueError("root sets are not materialized")
+
+
+def _require_finite_roots(s: RootGroupoidScheme) -> None:
+    _require_roots(s)
+    if s.status != FINITE:
+        raise ValueError("operation requires finite root data, scheme is truncated")
 
 
 def check_generator(s: RootGroupoidScheme, i: int) -> None:
@@ -201,8 +212,7 @@ def reflection_matrix(s: RootGroupoidScheme, i: int, a: int) -> Matrix:
 
 def full_root_set(s: RootGroupoidScheme, a: int) -> frozenset[Vector]:
     """Both halves of the stored root set of an object."""
-    if s.positive_roots is None:
-        raise ValueError("root sets are not materialized")
+    _require_roots(s)
     pos = s.positive_roots[a]
     return frozenset(pos) | frozenset(neg(r) for r in pos)
 
@@ -409,138 +419,109 @@ def _root_label(r: Vector) -> str:
     return "(" + ",".join(str(x) for x in r) + ")"
 
 
+def _axiom1(s: RootGroupoidScheme) -> Iterator[str]:
+    for i in range(s.rank):
+        for a in range(s.n_objects):
+            if s.action[i][s.action[i][a]] != a:
+                yield f"generator {_gen_label(i)} is not involutive at object {s.objects[a]}"
+    # with an involutive action the orbits partition the objects, so the
+    # second orbit starts at the smallest object not reachable from the first
+    orbits = orbit_decomposition(s, range(s.rank))
+    if len(orbits) > 1:
+        yield f"object {s.objects[orbits[1][0]]} is not reachable from {s.objects[0]}"
+
+
+def _axiom2(s: RootGroupoidScheme) -> Iterator[str]:
+    for a, pos in enumerate(s.positive_roots):
+        stored = set(pos)
+        for j in range(s.rank):
+            if s.simple_root(j) not in stored:
+                yield f"object {s.objects[a]} lacks simple root {_gen_label(j)}"
+        if any(is_zero(r) for r in pos):
+            yield f"object {s.objects[a]} stores the zero vector"
+
+
+def _axiom3(s: RootGroupoidScheme) -> Iterator[str]:
+    for a, pos in enumerate(s.positive_roots):
+        for r in pos:
+            if not is_nonneg(r):
+                yield f"object {s.objects[a]}, root {_root_label(r)} has mixed signs"
+
+
+def _axiom4(s: RootGroupoidScheme) -> Iterator[str]:
+    for a, pos in enumerate(s.positive_roots):
+        for j in range(s.rank):
+            for r in pos:
+                if r[j] not in (0, 1) and all(r[k] == 0 for k in range(s.rank) if k != j):
+                    yield (
+                        f"object {s.objects[a]}, root {_root_label(r)} is a multiple "
+                        f"of simple root {_gen_label(j)}"
+                    )
+
+
+def _axiom5(s: RootGroupoidScheme) -> Iterator[str]:
+    for i in range(s.rank):
+        for a in range(s.n_objects):
+            mat = reflection_matrix(s, i, a)
+            image = frozenset(mat_vec(mat, r) for r in full_root_set(s, a))
+            target = full_root_set(s, s.action[i][a])
+            if image != target:
+                diff = sorted(target - image) + sorted(image - target)
+                yield (
+                    f"generator {_gen_label(i)} at object {s.objects[a]}: image does not "
+                    f"equal the root set of {s.objects[s.action[i][a]]}, first mismatch "
+                    f"{_root_label(diff[0])}"
+                )
+
+
+def _axiom6(s: RootGroupoidScheme) -> Iterator[str]:
+    # sigma_{i, i|>a} sigma_{i,a} = id
+    for i in range(s.rank):
+        for a in range(s.n_objects):
+            back = s.action[i][a]
+            prod = mat_mul(reflection_matrix(s, i, back), reflection_matrix(s, i, a))
+            if prod != identity_matrix(s.rank):
+                yield (
+                    f"generator {_gen_label(i)}: reflections at {s.objects[a]} and "
+                    f"{s.objects[back]} do not compose to the identity"
+                )
+
+
+def _axiom7(s: RootGroupoidScheme) -> Iterator[str]:
+    for i in range(s.rank):
+        for j in range(i + 1, s.rank):
+            for a in range(s.n_objects):
+                d = s.rank_two_counts[i][j][a]
+                t = theta(s, i, j, a)
+                if d % t != 0:
+                    yield (
+                        f"generators {_gen_label(i)},{_gen_label(j)} at object "
+                        f"{s.objects[a]}: theta {t} does not divide count {d}"
+                    )
+
+
+_AXIOMS = (_axiom1, _axiom2, _axiom3, _axiom4, _axiom5, _axiom6, _axiom7)
+
+
 def validate(s: RootGroupoidScheme) -> ValidationReport:
     """Check the seven root-system axioms against the stored data.
 
     Root sets must be materialized first (prescribed schemes store them,
     generated schemes acquire them via generate_roots).  Failures are
     reported with the first counterexample in ascending (generator,
-    object) order, never raised.
+    object) order, never raised.  Each axiom's check count is the number
+    of cases it covers: one per (generator, object) pair, one per stored
+    root for axiom 3, and one per (generator pair, object) for axiom 7.
     """
-    if s.positive_roots is None:
-        raise ValueError("root sets are not materialized; generate them before validating")
-
+    _require_roots(s)
+    per_pair = s.rank * s.n_objects
+    n_roots = sum(len(pos) for pos in s.positive_roots)
+    n_rank_two = math.comb(s.rank, 2) * s.n_objects
+    checked = (per_pair, per_pair, n_roots, per_pair, per_pair, per_pair, n_rank_two)
     results = []
-
-    # axiom 1: involutive, transitive action
-    checked = 0
-    witness = None
-    for i in range(s.rank):
-        for a in range(s.n_objects):
-            checked += 1
-            if witness is None and s.action[i][s.action[i][a]] != a:
-                witness = f"generator {_gen_label(i)} is not involutive at object {s.objects[a]}"
-    if witness is None:
-        reached = {0}
-        frontier = [0]
-        while frontier:
-            a = frontier.pop(0)
-            for i in range(s.rank):
-                b = s.action[i][a]
-                if b not in reached:
-                    reached.add(b)
-                    frontier.append(b)
-        if len(reached) != s.n_objects:
-            missing = min(set(range(s.n_objects)) - reached)
-            witness = f"object {s.objects[missing]} is not reachable from {s.objects[0]}"
-    results.append(AxiomResult(1, witness is None, checked, witness))
-
-    # axiom 2: simple roots present, roots nonzero
-    checked = 0
-    witness = None
-    for a in range(s.n_objects):
-        stored = set(s.positive_roots[a])
-        for j in range(s.rank):
-            checked += 1
-            if witness is None and s.simple_root(j) not in stored:
-                witness = f"object {s.objects[a]} lacks simple root {_gen_label(j)}"
-        for r in s.positive_roots[a]:
-            if witness is None and is_zero(r):
-                witness = f"object {s.objects[a]} stores the zero vector"
-    results.append(AxiomResult(2, witness is None, checked, witness))
-
-    # axiom 3: sign coherence of the stored half
-    checked = 0
-    witness = None
-    for a in range(s.n_objects):
-        for r in s.positive_roots[a]:
-            checked += 1
-            if witness is None and not is_nonneg(r):
-                witness = f"object {s.objects[a]}, root {_root_label(r)} has mixed signs"
-    results.append(AxiomResult(3, witness is None, checked, witness))
-
-    # axiom 4: the only stored multiple of a simple root is the root itself
-    checked = 0
-    witness = None
-    for a in range(s.n_objects):
-        for j in range(s.rank):
-            checked += 1
-            if witness is not None:
-                continue
-            for r in s.positive_roots[a]:
-                if r[j] != 0 and all(r[k] == 0 for k in range(s.rank) if k != j) and r[j] != 1:
-                    witness = (
-                        f"object {s.objects[a]}, root {_root_label(r)} is a multiple "
-                        f"of simple root {_gen_label(j)}"
-                    )
-                    break
-    results.append(AxiomResult(4, witness is None, checked, witness))
-
-    # axiom 5: reflections permute the root sets
-    checked = 0
-    witness = None
-    for i in range(s.rank):
-        for a in range(s.n_objects):
-            checked += 1
-            if witness is not None:
-                continue
-            mat = reflection_matrix(s, i, a)
-            image = frozenset(mat_vec(mat, r) for r in full_root_set(s, a))
-            target = full_root_set(s, s.action[i][a])
-            if image != target:
-                diff = sorted(target - image) + sorted(image - target)
-                witness = (
-                    f"generator {_gen_label(i)} at object {s.objects[a]}: image does not "
-                    f"equal the root set of {s.objects[s.action[i][a]]}, first mismatch "
-                    f"{_root_label(diff[0])}"
-                )
-    results.append(AxiomResult(5, witness is None, checked, witness))
-
-    # axiom 6: sigma_{i, i|>a} sigma_{i,a} = id
-    checked = 0
-    witness = None
-    for i in range(s.rank):
-        for a in range(s.n_objects):
-            checked += 1
-            if witness is not None:
-                continue
-            back = s.action[i][a]
-            prod = mat_mul(reflection_matrix(s, i, back), reflection_matrix(s, i, a))
-            if prod != identity_matrix(s.rank):
-                witness = (
-                    f"generator {_gen_label(i)}: reflections at {s.objects[a]} and "
-                    f"{s.objects[back]} do not compose to the identity"
-                )
-    results.append(AxiomResult(6, witness is None, checked, witness))
-
-    # axiom 7: theta divides the rank-two count
-    checked = 0
-    witness = None
-    for i in range(s.rank):
-        for j in range(i + 1, s.rank):
-            for a in range(s.n_objects):
-                checked += 1
-                if witness is not None:
-                    continue
-                d = s.rank_two_counts[i][j][a]
-                t = theta(s, i, j, a)
-                if d % t != 0:
-                    witness = (
-                        f"generators {_gen_label(i)},{_gen_label(j)} at object "
-                        f"{s.objects[a]}: theta {t} does not divide count {d}"
-                    )
-    results.append(AxiomResult(7, witness is None, checked, witness))
-
+    for axiom, (check, count) in enumerate(zip(_AXIOMS, checked), start=1):
+        witness = next(check(s), None)
+        results.append(AxiomResult(axiom, witness is None, count, witness))
     return ValidationReport(tuple(results))
 
 

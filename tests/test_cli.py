@@ -151,6 +151,12 @@ def test_reduce_on_invalid_scheme_names_axiom(affine_file, word):
     assert p.stdout.startswith("axiom 5 FAIL (generator 1 at object a")
 
 
+def test_enumerate_on_invalid_scheme_names_axiom(affine_file):
+    p = run_subprocess("enumerate", "--scheme", str(affine_file), "--machine")
+    assert p.returncode == 1
+    assert p.stdout.startswith("axiom 5 FAIL (generator 1 at object a")
+
+
 def test_longest_on_truncated_scheme_reports_truncation(tmp_path, capsys):
     path = tmp_path / "affine.json"
     path.write_text(wg.save_scheme(wg.from_cartan(((2, -2), (-2, 2)))), encoding="utf-8")

@@ -200,6 +200,14 @@ def test_longest_unique_per_source(ex5):
         assert maximal == [w0]
 
 
+def test_enumerate_is_bounded_on_inconsistent_roots(affine_file):
+    # the infinite dihedral group has elements of every length; the search
+    # stops at length 3, one more than the two stored positive roots
+    aff = wg.load_scheme(affine_file.read_text(encoding="utf-8"))
+    with pytest.raises(wg.InconsistentSchemeError, match="length 3"):
+        wg.enumerate_elements(aff)
+
+
 def test_enumerate_rank_one(rank1):
     els = wg.enumerate_elements(rank1)
     assert len(els) == 2

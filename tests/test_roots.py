@@ -2,10 +2,13 @@ import math
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import weylgroupoid as wg
 from weylgroupoid import Word
-from weylgroupoid.intmat import mat_vec, neg
+from weylgroupoid.intmat import basis_vector, height, is_nonneg, mat_vec, neg
+from weylgroupoid.scheme import reflection_matrix
 
 A, B, C, D, E = range(5)
 
@@ -85,6 +88,92 @@ def test_generate_rejects_zero_cutoff():
 def test_generate_rejects_prescribed(ex5):
     with pytest.raises(ValueError):
         wg.generate_roots(ex5, 10)
+
+
+def _re_reflection_certificate(s, cutoff):
+    """Root generation with its first certificate, kept as the oracle.
+
+    The same worklist closure, then FINITE only if each set is its
+    positive half with the negatives and reflecting those signed sets once
+    more maps each onto the set of the target object.
+    """
+    found = [{basis_vector(s.rank, j) for j in range(s.rank)} for _ in range(s.n_objects)]
+    mats = [[reflection_matrix(s, i, a) for a in range(s.n_objects)] for i in range(s.rank)]
+    pending = [(a, r) for a in range(s.n_objects) for r in found[a]]
+    while pending:
+        a, r = pending.pop()
+        for i in range(s.rank):
+            v = mat_vec(mats[i][a], r)
+            target = s.action[i][a]
+            if height(v) <= cutoff and v not in found[target]:
+                found[target].add(v)
+                pending.append((target, v))
+    positive = tuple(tuple(sorted(v for v in vs if is_nonneg(v))) for vs in found)
+    status = wg.FINITE
+    sets = [frozenset(pos) | frozenset(neg(r) for r in pos) for pos in positive]
+    for a in range(s.n_objects):
+        if len(sets[a]) != len(found[a]):
+            status = wg.TRUNCATED
+    for i in range(s.rank):
+        for a in range(s.n_objects):
+            if frozenset(mat_vec(mats[i][a], r) for r in sets[a]) != sets[s.action[i][a]]:
+                status = wg.TRUNCATED
+    return positive, status
+
+
+def _hand_built(action, coefficients, cutoff):
+    s = wg.RootGroupoidScheme(
+        rank=len(action), objects=tuple("abcd"[: len(action[0])]), action=action,
+        coefficients=coefficients, mode=wg.GENERATED,
+    )
+    return s, cutoff
+
+
+@st.composite
+def _hand_built_schemes(draw):
+    """Generated-mode schemes with random actions, involutive or not."""
+    rank = draw(st.integers(1, 3))
+    n = draw(st.integers(1, 4))
+    action = []
+    for _ in range(rank):
+        if draw(st.booleans()):
+            perm = draw(st.permutations(range(n)))
+            row = list(range(n))
+            for k in range(0, 2 * draw(st.integers(0, n // 2)), 2):
+                row[perm[k]], row[perm[k + 1]] = perm[k + 1], perm[k]
+        else:
+            row = [draw(st.integers(0, n - 1)) for _ in range(n)]
+        action.append(tuple(row))
+    coefficients = tuple(
+        tuple(
+            tuple(-1 if j == i else draw(st.integers(0, 3)) for j in range(rank))
+            for _ in range(n)
+        )
+        for i in range(rank)
+    )
+    return _hand_built(tuple(action), coefficients, draw(st.integers(1, 15)))
+
+
+@settings(derandomize=True, database=None, max_examples=100, deadline=None)
+@given(_hand_built_schemes())
+# nothing dropped and every set sign coherent, but generator 2 is not
+# involutive and maps one set into a larger one
+@example(_hand_built(
+    ((1, 0, 2), (1, 2, 2)),
+    (((-1, 0), (-1, 0), (-1, 1)), ((0, -1), (0, -1), (1, -1))),
+    12,
+))
+# nothing dropped and sizes equal along every reflection, but a set is
+# not its positive half with the negatives
+@example(_hand_built(
+    ((1, 3, 3, 2), (2, 3, 0, 1)),
+    (((-1, 0), (-1, 1), (-1, 1), (-1, 1)), ((0, -1), (1, -1), (0, -1), (1, -1))),
+    3,
+))
+def test_worklist_certificate_matches_re_reflection(case):
+    s, cutoff = case
+    out = wg.generate_roots(s, cutoff)
+    assert (out.positive_roots, out.status) == _re_reflection_certificate(s, cutoff)
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,7 @@ import json
 import pytest
 
 import weylgroupoid as wg
-from weylgroupoid.scheme import SchemeFormatError
+from weylgroupoid.scheme import AxiomResult, SchemeFormatError
 
 A, B, C, D, E = range(5)
 
@@ -193,6 +193,62 @@ def test_validate_detects_simple_root_multiple(ex5):
     assert not wg.validate(mutated).result(4).passed
 
 
+@pytest.mark.parametrize(
+    "obj, drop, add, witness",
+    [
+        (B, (0, 1, 0), (), "object b lacks simple root 2"),
+        (C, None, ((0, 0, 0),), "object c stores the zero vector"),
+    ],
+)
+def test_validate_detects_missing_simple_root_or_zero(ex5, obj, drop, add, witness):
+    roots = list(ex5.positive_roots)
+    roots[obj] = tuple(r for r in roots[obj] if r != drop) + add
+    report = wg.validate(dataclasses.replace(ex5, positive_roots=tuple(roots)))
+    assert report.result(2) == AxiomResult(2, False, 15, witness)
+
+
+def test_validate_detects_non_inverse_reflections(ex5):
+    coefficients = [list(per_obj) for per_obj in ex5.coefficients]
+    coeffs = list(coefficients[1][C])
+    coeffs[0] += 1
+    coefficients[1][C] = tuple(coeffs)
+    mutated = dataclasses.replace(ex5, coefficients=tuple(map(tuple, coefficients)))
+    report = wg.validate(mutated)
+    assert report.result(6).witness == (
+        "generator 2: reflections at c and e do not compose to the identity"
+    )
+    assert not report.result(6).passed and report.result(6).checked == 15
+
+
+def test_validate_reports_involutivity_before_reachability():
+    # built directly, since load_scheme rejects a non-involutive action:
+    # a -> b -> b, and c is reachable from neither
+    s = wg.RootGroupoidScheme(
+        rank=1, objects=("a", "b", "c"), action=((1, 1, 2),),
+        coefficients=(((-1,),) * 3,), mode=wg.PRESCRIBED,
+        positive_roots=(((1,),),) * 3, status=wg.FINITE,
+    )
+    r1 = wg.validate(s).result(1)
+    assert r1.witness == "generator 1 is not involutive at object a"
+    assert not r1.passed and r1.checked == 3
+
+
+@pytest.mark.parametrize(
+    "name, checked",
+    [
+        # one per (generator, object) pair, one per stored root for axiom 3,
+        # one per (generator pair, object) for axiom 7
+        ("example", (15, 15, 50, 15, 15, 15, 15)),
+        ("E6", (6, 6, 36, 6, 6, 6, 15)),
+        ("bichar-rank-3", (15, 15, 50, 15, 15, 15, 15)),
+    ],
+)
+def test_validate_check_counts(ex5, name, checked):
+    report = wg.validate(_table_scheme(name, ex5))
+    assert report.passed
+    assert tuple(r.checked for r in report.results) == checked
+
+
 def test_validate_is_deterministic(ex5):
     assert wg.validate(ex5) == wg.validate(ex5)
 
@@ -252,6 +308,10 @@ def _table_scheme(name, ex5):
         roots = list(ex5.positive_roots)
         roots[A] = roots[A] + ((0, 0, 0),)
         return dataclasses.replace(ex5, positive_roots=tuple(roots))
+    if name == "bichar-rank-3":
+        # five objects, ten positive roots each
+        exponents = ((3, 2, 0), (0, 3, 2), (0, 0, 3))
+        return wg.generate_roots(wg.from_bicharacter(exponents, 12, 6), 30)
     if name == "bichar-rank-4":
         # five objects, thirteen positive roots each
         exponents = ((2, 2, 0, 0), (0, 2, 1, 0), (0, 0, 3, 1), (0, 0, 0, 3))
