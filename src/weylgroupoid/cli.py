@@ -6,6 +6,11 @@ are referred to by name; the library API underneath is 0-based.  With
 --machine the output is a stable line protocol: identical inputs produce
 byte-identical output.
 
+main() loads --scheme and parses --base, --word and --word2 for every
+command, generating roots for those with --cutoff.  Root data that breaks
+an axiom is reported as the first failing axiom with its witness, exit 1.
+reduce and longest share one report, which checks length against word.
+
 Exit codes: 0 success, 1 domain failure (validation failed, words not
 equal, non-arithmetic input), 2 usage or input-format error.
 """
@@ -65,12 +70,6 @@ def _format_word(s: RootGroupoidScheme, w: Word) -> str:
     return letters if letters else "(empty)"
 
 
-def _materialized(s: RootGroupoidScheme, cutoff: int) -> RootGroupoidScheme:
-    if s.positive_roots is None:
-        return roots.generate_roots(s, cutoff)
-    return s
-
-
 def _parse_matrix_file(text: str) -> tuple[tuple[int, ...], ...]:
     rows = []
     for lineno, line in enumerate(text.splitlines(), start=1):
@@ -86,21 +85,25 @@ def _parse_matrix_file(text: str) -> tuple[tuple[int, ...], ...]:
     return tuple(rows)
 
 
-def _report_failed_axiom(s: RootGroupoidScheme, error: scheme.InconsistentSchemeError) -> int:
-    """Print the first failing axiom with its witness and return 1; re-raise if none fails."""
-    failed = next((r for r in scheme.validate(s).results if not r.passed), None)
-    if failed is None:
-        raise error
-    print(f"axiom {failed.axiom} FAIL ({failed.witness})")
-    return 1
+def _prepare(args) -> RootGroupoidScheme:
+    """Load --scheme, generate roots if the command takes --cutoff, resolve
+    --base, turn --word and --word2 into Words; in this order."""
+    s = _load(args.scheme)
+    if hasattr(args, "cutoff") and s.positive_roots is None:
+        s = roots.generate_roots(s, args.cutoff)
+    if getattr(args, "base", None) is not None:
+        args.base = _object(s, args.base)
+    for key in ("word", "word2"):
+        if hasattr(args, key):
+            setattr(args, key, Word(args.base, _parse_word(s, getattr(args, key))))
+    return s
 
 
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands; each takes _prepare's scheme (None without --scheme) and args
 
 
-def cmd_validate(args) -> int:
-    s = _materialized(_load(args.scheme), args.cutoff)
+def cmd_validate(s, args) -> int:
     report = scheme.validate(s)
     for r in report.results:
         line = f"axiom {r.axiom} {'PASS' if r.passed else 'FAIL'}"
@@ -113,16 +116,12 @@ def cmd_validate(args) -> int:
     return 0 if report.passed else 1
 
 
-def cmd_act(args) -> int:
-    s = _load(args.scheme)
-    base = _object(s, args.base)
-    letters = _parse_word(s, args.word)
-    print(f"object {s.objects[scheme.act_word(s, letters, base)]}")
+def cmd_act(s, args) -> int:
+    print(f"object {s.objects[scheme.act_word(s, args.word.letters, args.base)]}")
     return 0
 
 
-def cmd_roots(args) -> int:
-    s = _materialized(_load(args.scheme), args.cutoff)
+def cmd_roots(s, args) -> int:
     print(f"status {s.status}")
     for a in range(s.n_objects):
         print(f"roots {s.objects[a]} {len(s.positive_roots[a])}")
@@ -131,29 +130,25 @@ def cmd_roots(args) -> int:
     return 0
 
 
-def cmd_reduce(args) -> int:
-    s = _materialized(_load(args.scheme), args.cutoff)
-    base = _object(s, args.base)
-    w = Word(base, _parse_word(s, args.word))
-    g = groupoid.element_of_word(s, w)
+def _report_element(s: RootGroupoidScheme, g: groupoid.GroupoidElement) -> int:
+    """Print g's length, canonical reduced word and target, once the two agree."""
     n = groupoid.length(s, g)
-    try:
-        canon = groupoid.canonical_reduced_word(s, g)
-        if len(canon) != n:
-            raise scheme.InconsistentSchemeError(f"canonical word has {len(canon)} letters, length {n}")
-    except scheme.InconsistentSchemeError as e:
-        return _report_failed_axiom(s, e)
+    canon = groupoid.canonical_reduced_word(s, g)
+    if len(canon) != n:
+        raise scheme.InconsistentSchemeError(f"canonical word has {len(canon)} letters, length {n}")
     print(f"length {n}")
     print(f"word {_format_word(s, canon)}")
     print(f"target {s.objects[g.target]}")
     return 0
 
 
-def cmd_eq(args) -> int:
-    s = _load(args.scheme)
-    base = _object(s, args.base)
-    g = groupoid.element_of_word(s, Word(base, _parse_word(s, args.word)))
-    h = groupoid.element_of_word(s, Word(base, _parse_word(s, args.word2)))
+def cmd_reduce(s, args) -> int:
+    return _report_element(s, groupoid.element_of_word(s, args.word))
+
+
+def cmd_eq(s, args) -> int:
+    g = groupoid.element_of_word(s, args.word)
+    h = groupoid.element_of_word(s, args.word2)
     if g == h:
         print("EQUAL")
         return 0
@@ -164,18 +159,14 @@ def cmd_eq(args) -> int:
     return 1
 
 
-def cmd_braid(args) -> int:
-    s = _materialized(_load(args.scheme), args.cutoff)
-    base = _object(s, args.base)
-    u = Word(base, _parse_word(s, args.word))
-    v = Word(base, _parse_word(s, args.word2))
+def cmd_braid(s, args) -> int:
     try:
-        chain = rewriting.braid_connect(s, u, v)
+        chain = rewriting.braid_connect(s, args.word, args.word2)
     except ValueError as e:
         print(f"FAIL {e}")
         return 1
     print(f"moves {len(chain.moves)}")
-    w = u
+    w = args.word
     for mv in chain.moves:
         w = rewriting.apply_move(s, w, mv)
         print(
@@ -185,26 +176,12 @@ def cmd_braid(args) -> int:
     return 0
 
 
-def cmd_longest(args) -> int:
-    s = _materialized(_load(args.scheme), args.cutoff)
-    base = _object(s, args.base)
-    try:
-        g = groupoid.longest_element(s, base)
-    except scheme.InconsistentSchemeError as e:
-        return _report_failed_axiom(s, e)
-    print(f"length {groupoid.length(s, g)}")
-    print(f"word {_format_word(s, groupoid.canonical_reduced_word(s, g))}")
-    print(f"target {s.objects[g.target]}")
-    return 0
+def cmd_longest(s, args) -> int:
+    return _report_element(s, groupoid.longest_element(s, args.base))
 
 
-def cmd_enumerate(args) -> int:
-    s = _materialized(_load(args.scheme), args.cutoff)
-    source = _object(s, args.base) if args.base else None
-    try:
-        elements = groupoid.enumerate_elements(s, source)
-    except scheme.InconsistentSchemeError as e:
-        return _report_failed_axiom(s, e)
+def cmd_enumerate(s, args) -> int:
+    elements = groupoid.enumerate_elements(s, args.base)
     print(f"count {len(elements)}")
     for g in elements:
         flat = " ".join(str(x) for row in g.matrix for x in row)
@@ -215,7 +192,7 @@ def cmd_enumerate(args) -> int:
     return 0
 
 
-def cmd_from_cartan(args) -> int:
+def cmd_from_cartan(s, args) -> int:
     matrix = _parse_matrix_file(_read_file(args.matrix))
     try:
         s = constructors.from_cartan(matrix)
@@ -225,7 +202,7 @@ def cmd_from_cartan(args) -> int:
     return 0
 
 
-def cmd_from_bichar(args) -> int:
+def cmd_from_bichar(s, args) -> int:
     matrix = _parse_matrix_file(_read_file(args.matrix))
     if args.order == "generic":
         order = None
@@ -245,8 +222,7 @@ def cmd_from_bichar(args) -> int:
     return 0
 
 
-def cmd_export_dot(args) -> int:
-    s = _load(args.scheme)
+def cmd_export_dot(s, args) -> int:
     lines = ["graph scheme {"]
     for name in s.objects:
         lines.append(f'  "{name}";')
@@ -260,7 +236,7 @@ def cmd_export_dot(args) -> int:
     return 0
 
 
-def cmd_example(args) -> int:
+def cmd_example(s, args) -> int:
     sys.stdout.write(scheme.save_scheme(constructors.rank3_example()))
     return 0
 
@@ -275,17 +251,17 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, func, help_, *, needs_scheme=True, base=False, word=False,
-            word2=False, cutoff=False, base_optional=False):
+    def add(name, func, help_, *, needs_scheme=True, base=False, words=0,
+            cutoff=False, base_optional=False):
         p = sub.add_parser(name, help=help_)
         if needs_scheme:
             p.add_argument("--scheme", required=True, metavar="FILE")
         if base:
-            p.add_argument("--base", required=not base_optional, metavar="OBJ")
-        if word:
-            p.add_argument("--word", required=True, metavar="'i1 i2 ...'")
-        if word2:
-            p.add_argument("--word2", required=True, metavar="'i1 i2 ...'")
+            # an empty optional --base means every object, as no --base does
+            kind = (lambda name: name or None) if base_optional else str
+            p.add_argument("--base", required=not base_optional, metavar="OBJ", type=kind)
+        for key in ("word", "word2")[:words]:
+            p.add_argument(f"--{key}", required=True, metavar="'i1 i2 ...'")
         if cutoff:
             p.add_argument("--cutoff", type=int, default=30, metavar="N")
         p.add_argument("--machine", action="store_true",
@@ -294,14 +270,14 @@ def _build_parser() -> argparse.ArgumentParser:
         return p
 
     add("validate", cmd_validate, "check the root-system axioms", cutoff=True)
-    add("act", cmd_act, "apply a word to an object", base=True, word=True)
+    add("act", cmd_act, "apply a word to an object", base=True, words=1)
     add("roots", cmd_roots, "print positive root sets", cutoff=True)
     add("reduce", cmd_reduce, "canonical reduced word of a word",
-        base=True, word=True, cutoff=True)
+        base=True, words=1, cutoff=True)
     add("eq", cmd_eq, "compare the evaluations of two words",
-        base=True, word=True, word2=True)
+        base=True, words=2)
     add("braid", cmd_braid, "braid-move chain between two reduced words",
-        base=True, word=True, word2=True, cutoff=True)
+        base=True, words=2, cutoff=True)
     add("longest", cmd_longest, "longest element from a source object",
         base=True, cutoff=True)
     add("enumerate", cmd_enumerate, "list all groupoid elements",
@@ -330,7 +306,16 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as e:
         return 2 if e.code not in (0, None) else 0
     try:
-        code = args.func(args)
+        s = _prepare(args) if hasattr(args, "scheme") else None
+        try:
+            code = args.func(s, args)
+        except scheme.InconsistentSchemeError:
+            # name the first failing axiom; if none fails, report the error itself
+            failed = next((r for r in scheme.validate(s).results if not r.passed), None) if s else None
+            if failed is None:
+                raise
+            print(f"axiom {failed.axiom} FAIL ({failed.witness})")
+            code = 1
         sys.stdout.flush()
         return code
     except UsageError as e:

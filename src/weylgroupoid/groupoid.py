@@ -35,6 +35,7 @@ from .scheme import (
     check_generator,
     check_object,
     reflection_matrix,
+    word_path,
 )
 
 
@@ -59,14 +60,7 @@ ZERO = GroupoidElement(None, None, None)
 
 
 class _MinusInfinity:
-    """Sentinel for the length of the zero element."""
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
+    """Sentinel for the length of the zero element; MINUS_INFINITY is its one instance."""
 
     def __repr__(self) -> str:
         return "-infinity"
@@ -107,17 +101,14 @@ def element_of_word(s: RootGroupoidScheme, w: Word) -> GroupoidElement:
     """Evaluate a word: multiply reflection matrices rightmost first.
 
     Each letter's reflection matrix multiplies from the left, which
-    changes one row only.  Object labels along the word are derived from
-    the base, so the result is never zero.
+    changes one row only; the result is never zero.
     """
-    check_object(s, w.base)
+    path = word_path(s, w.letters, w.base)
     matrix = identity_matrix(s.rank)
-    obj = w.base
-    for i in reversed(w.letters):
-        check_generator(s, i)
-        matrix = reflect_rows(i, s.coefficients[i][obj], matrix)
-        obj = s.action[i][obj]
-    return GroupoidElement(w.base, obj, matrix)
+    # each letter with the object it acts from, rightmost first
+    for i, a in zip(reversed(w.letters), reversed(path[1:])):
+        matrix = reflect_rows(i, s.coefficients[i][a], matrix)
+    return GroupoidElement(w.base, path[0], matrix)
 
 
 def _times_generator(s: RootGroupoidScheme, g: GroupoidElement, j: int) -> GroupoidElement:

@@ -26,7 +26,7 @@ from .groupoid import (
 )
 from .intmat import basis_vector, mat_col
 from .roots import rank_two_count
-from .scheme import RootGroupoidScheme, act, check_generator, check_object
+from .scheme import RootGroupoidScheme, act, check_generator, word_path
 
 
 @dataclass(frozen=True)
@@ -54,37 +54,20 @@ class MoveChain:
     end: Word
 
 
-def _sources_along(s: RootGroupoidScheme, w: Word) -> list[int]:
-    """Object each letter acts from; entry k is for letters[k].
-
-    Checks the word's base and letters first.
-    """
-    check_object(s, w.base)
-    for i in w.letters:
-        check_generator(s, i)
-    n = len(w.letters)
-    src = [0] * n if n else []
-    obj = w.base
-    for k in range(n - 1, -1, -1):
-        src[k] = obj
-        obj = s.action[w.letters[k]][obj]
-    return src
-
-
-def _move_at(s: RootGroupoidScheme, w: Word, src: list[int], p: int) -> BraidMove | None:
+def _move_at(s: RootGroupoidScheme, w: Word, path: list[int], p: int) -> BraidMove | None:
     """The braid move whose segment starts at position p, or None.
 
-    src is _sources_along(s, w); the one-position test behind both
-    applicable_moves and apply_move.
+    path is word_path(s, w.letters, w.base); the one-position test behind
+    both applicable_moves and apply_move.
     """
     x, y = w.letters[p], w.letters[p + 1]
     if x == y:
         return None
-    m = rank_two_count(s, x, y, src[p])
+    m = rank_two_count(s, x, y, path[p + 1])
     if not isinstance(m, int) or p + m > len(w.letters):
         return None
     if all(w.letters[p + t] == (x if t % 2 == 0 else y) for t in range(m)):
-        return BraidMove(p, x, y, m, src[p + m - 1])
+        return BraidMove(p, x, y, m, path[p + m])
     return None
 
 
@@ -95,8 +78,8 @@ def applicable_moves(s: RootGroupoidScheme, w: Word) -> list[BraidMove]:
     and its length equals the (finite) rank-two count of the pair at the
     object its rightmost letter acts from.
     """
-    src = _sources_along(s, w)
-    moves = (_move_at(s, w, src, p) for p in range(len(w.letters) - 1))
+    path = word_path(s, w.letters, w.base)
+    moves = (_move_at(s, w, path, p) for p in range(len(w.letters) - 1))
     return [mv for mv in moves if mv is not None]
 
 
@@ -108,8 +91,8 @@ def apply_move(s: RootGroupoidScheme, w: Word, mv: BraidMove) -> Word:
     length, and evaluation.  Applying the induced move at the same
     position again restores the original word.
     """
-    src = _sources_along(s, w)
-    if mv.position not in range(len(w.letters) - 1) or _move_at(s, w, src, mv.position) != mv:
+    path = word_path(s, w.letters, w.base)
+    if mv.position not in range(len(w.letters) - 1) or _move_at(s, w, path, mv.position) != mv:
         raise ValueError("move is not applicable to this word")
     return _swap(w, mv)
 
@@ -189,22 +172,18 @@ def braid_connect(s: RootGroupoidScheme, u: Word, v: Word) -> MoveChain:
         if meets:
             meet = min(meets, key=_word_key)
 
-    def path_to(parents, w):
-        steps = []
-        while parents[w] is not None:
-            prev, mv = parents[w]
-            steps.append((prev, mv, w))
-            w = prev
-        steps.reverse()
-        return steps
-
-    forward = path_to(parent_u, meet)  # u -> meet
-    backward = path_to(parent_v, meet)  # v -> meet
-
-    moves = [mv for _, mv, _ in forward]
-    # reverse the v-side path: the inverse of a move is the move at the
-    # same position with the letters swapped
-    for prev, mv, child in reversed(backward):
+    # walk back from the meet to u, then on from the meet to v; the
+    # inverse of a move is the move at the same position with the letters
+    # swapped
+    moves = []
+    w = meet
+    while parent_u[w] is not None:
+        w, mv = parent_u[w]
+        moves.append(mv)
+    moves.reverse()
+    w = meet
+    while parent_v[w] is not None:
+        w, mv = parent_v[w]
         moves.append(BraidMove(mv.position, mv.second, mv.first, mv.m, mv.anchor))
 
     # the chain is self-checked before being returned

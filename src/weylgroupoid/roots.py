@@ -35,6 +35,7 @@ from .scheme import (
     _require_roots,
     check_generator,
     check_object,
+    word_path,
 )
 
 # Not called here since reflections are applied by the one-row kernels,
@@ -209,28 +210,23 @@ class InversionSet:
 
 def inversion_set(s: RootGroupoidScheme, letters: Sequence[int], a: int) -> InversionSet:
     """Positive roots of object a sent to negative roots by the word."""
-    check_object(s, a)
+    path = word_path(s, letters, a)
     _require_finite_roots(s)
-    letters = tuple(letters)
-    for i in letters:
-        check_generator(s, i)
-    m = len(letters)
-    steps = []  # (letter, coefficients) of the word's reflections, rightmost first
-    obj = a
-    for letter in reversed(letters):
-        steps.append((letter, s.coefficients[letter][obj]))
-        obj = s.action[letter][obj]
+    # (letter, coefficients, 1-based position) of the word's reflections, rightmost first
+    steps = [
+        (letters[k], s.coefficients[letters[k]][path[k + 1]], k + 1)
+        for k in range(len(letters) - 1, -1, -1)
+    ]
     entries = []
     for beta in s.positive_roots[a]:
-        v = beta
-        negative_after = []  # after applying the last t letters, t = 1..m
-        for letter, coeffs in steps:
+        v, start = beta, None  # start: the letter that began the current negative run
+        for letter, coeffs, position in steps:
             v = reflect_vector(letter, coeffs, v)
-            negative_after.append(is_nonpos(v))
-        if m > 0 and negative_after[-1]:
-            t_star = m  # start of the final negative run, as an application step
-            while t_star > 1 and negative_after[t_star - 2]:
-                t_star -= 1
-            entries.append((m - t_star + 1, beta))
+            if not is_nonpos(v):
+                start = None
+            elif start is None:
+                start = position
+        if start is not None:
+            entries.append((start, beta))
     entries.sort()
     return InversionSet(tuple(entries))

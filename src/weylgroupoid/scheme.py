@@ -160,14 +160,21 @@ def act(s: RootGroupoidScheme, i: int, a: int) -> int:
     return s.action[i][a]
 
 
+def word_path(s: RootGroupoidScheme, letters: Sequence[int], a: int) -> list[int]:
+    """Objects a word visits from a: entry len(letters) is a, entry k is
+    letters[k] applied to entry k + 1 (the object letters[k] acts from),
+    so entry 0 is the target.  Checks a, then each letter as applied."""
+    check_object(s, a)
+    path = [a] * (len(letters) + 1)
+    for k in range(len(letters) - 1, -1, -1):
+        check_generator(s, letters[k])
+        path[k] = s.action[letters[k]][path[k + 1]]
+    return path
+
+
 def act_word(s: RootGroupoidScheme, letters: Sequence[int], a: int) -> int:
     """Apply a word of generators to an object, rightmost letter first."""
-    check_object(s, a)
-    obj = a
-    for i in reversed(letters):
-        check_generator(s, i)
-        obj = s.action[i][obj]
-    return obj
+    return word_path(s, letters, a)[0]
 
 
 def theta(s: RootGroupoidScheme, i: int, j: int, a: int) -> int:

@@ -157,6 +157,20 @@ def test_enumerate_on_invalid_scheme_names_axiom(affine_file):
     assert p.stdout.startswith("axiom 5 FAIL (generator 1 at object a")
 
 
+def test_longest_cross_checks_its_length(tmp_path):
+    # on root data that fails axiom 4 the longest element's length (1) and
+    # its canonical word (2 1) disagree; longest used to print both, exit 0
+    path = tmp_path / "axiom4.json"
+    path.write_text(json.dumps({
+        "rank": 2, "objects": ["a"], "action": [[0], [0]],
+        "coefficients": [[[-1, 3]], [[0, -1]]], "mode": "prescribed",
+        "roots": [[[0, 1], [0, 2], [1, 0]]],
+    }), encoding="utf-8")
+    p = run_subprocess("longest", "--scheme", str(path), "--base", "a", "--machine")
+    assert p.returncode == 1
+    assert p.stdout == "axiom 4 FAIL (object a, root (0,2) is a multiple of simple root 2)\n"
+
+
 def test_longest_on_truncated_scheme_reports_truncation(tmp_path, capsys):
     path = tmp_path / "affine.json"
     path.write_text(wg.save_scheme(wg.from_cartan(((2, -2), (-2, 2)))), encoding="utf-8")

@@ -1,10 +1,13 @@
 import dataclasses
 import json
+import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import weylgroupoid as wg
-from weylgroupoid.scheme import AxiomResult, SchemeFormatError
+from weylgroupoid.scheme import AxiomResult, SchemeFormatError, word_path
 
 A, B, C, D, E = range(5)
 
@@ -114,6 +117,47 @@ def test_act_word(ex5):
     for i in range(3):
         for a in range(5):
             assert wg.act_word(ex5, (i, i), a) == a
+
+
+# built once here: hypothesis strategies cannot take fixtures
+PATH_SCHEMES = (
+    wg.rank3_example(),
+    wg.from_bicharacter(((3, 2, 0), (0, 3, 2), (0, 0, 3)), 12, 6),  # BI3, five objects
+)
+
+
+@st.composite
+def _based_word(draw):
+    s = draw(st.sampled_from(PATH_SCHEMES))
+    base = draw(st.integers(0, s.n_objects - 1))
+    return s, base, tuple(draw(st.lists(st.integers(0, s.rank - 1), max_size=16)))
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(_based_word())
+def test_word_path_applies_each_letter_to_the_next_entry(case):
+    s, base, letters = case
+    path = word_path(s, letters, base)
+    assert len(path) == len(letters) + 1 and path[-1] == base
+    for k, i in enumerate(letters):
+        assert path[k] == wg.act(s, i, path[k + 1])
+    assert path[0] == wg.act_word(s, letters, base)
+    assert path[0] == wg.element_of_word(s, wg.Word(base, letters)).target
+
+
+@pytest.mark.parametrize("base, letters, message", [
+    (5, (0,), "object index 5 out of range 0..4"),
+    (-1, (3,), "object index -1 out of range 0..4"),
+    (A, (0, 3, 1), "generator index 3 out of range 0..2"),
+    (A, (-1, 0), "generator index -1 out of range 0..2"),
+    (A, (4, 1, 3), "generator index 3 out of range 0..2"),  # the first letter applied
+])
+def test_word_path_rejects_bad_base_or_letter(ex5, base, letters, message):
+    for walk in (word_path, wg.act_word):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            walk(ex5, letters, base)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        wg.element_of_word(ex5, wg.Word(base, letters))
 
 
 def test_theta_values(ex5):
