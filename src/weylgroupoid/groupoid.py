@@ -23,7 +23,6 @@ from .intmat import (
     mat_mul,
     mat_vec,
     reflect_columns,
-    reflect_rows,
 )
 from .roots import rank_two_count
 from .scheme import (
@@ -98,16 +97,16 @@ def generator_element(s: RootGroupoidScheme, i: int, a: int) -> GroupoidElement:
 
 
 def element_of_word(s: RootGroupoidScheme, w: Word) -> GroupoidElement:
-    """Evaluate a word: multiply reflection matrices rightmost first.
+    """Evaluate a word: the product of its reflection matrices.
 
-    Each letter's reflection matrix multiplies from the left, which
-    changes one row only; the result is never zero.
+    Built leftmost letter first, each letter's matrix multiplying on the
+    right as in _times_generator; the result is never zero.
     """
     path = word_path(s, w.letters, w.base)
     matrix = identity_matrix(s.rank)
-    # each letter with the object it acts from, rightmost first
-    for i, a in zip(reversed(w.letters), reversed(path[1:])):
-        matrix = reflect_rows(i, s.coefficients[i][a], matrix)
+    # each letter with the object it acts from, leftmost first
+    for i, a in zip(w.letters, path[1:]):
+        matrix = reflect_columns(matrix, i, s.coefficients[i][a])
     return GroupoidElement(w.base, path[0], matrix)
 
 
@@ -269,10 +268,12 @@ def c_element(s: RootGroupoidScheme, i: int, j: int, a: int) -> Word:
     right, which is the commutation rule used by the weak exchange
     factorization.
     """
-    if i == j:
-        raise ValueError("rank-two data requires two distinct generators")
     m = rank_two_count(s, i, j, a)
     if not isinstance(m, int):
         raise ValueError("rank-two count is infinite; no relation word exists")
-    letters = tuple(i if t % 2 == 0 else j for t in range(m - 1))
-    return Word(a, letters)
+    return Word(a, _alternating(i, j, m - 1))
+
+
+def _alternating(x: int, y: int, n: int) -> tuple[int, ...]:
+    """The n letters x, y, x, ... that alternate starting with x."""
+    return tuple(y if t % 2 else x for t in range(n))

@@ -5,8 +5,8 @@ as tuples of rows.  Everything stays in integer arithmetic, inversion
 included.
 
 A reflection matrix (scheme.reflection_from_coefficients(i, c)) differs
-from the identity in row i only, so the three reflection kernels below
-touch only the coordinate or the rows that change instead of forming a
+from the identity in row i only, so the two reflection kernels below
+touch only the coordinate or the entries that change instead of forming a
 dense product.
 """
 
@@ -80,19 +80,6 @@ def reflect_vector(i: int, c: Vector, v: Vector) -> Vector:
     """
     x = sum(map(operator.mul, c, v)) - (c[i] + 1) * v[i]
     return v[:i] + (x,) + v[i + 1 :]
-
-
-def reflect_rows(i: int, c: Vector, m: Matrix) -> Matrix:
-    """reflection_from_coefficients(i, c) times m.
-
-    Only row i changes: it becomes the sum of c[k] * m[k], with -1 in
-    place of c[i].
-    """
-    acc = [-x for x in m[i]]
-    for k, ck in enumerate(c):
-        if ck and k != i:
-            acc = [x + ck * y for x, y in zip(acc, m[k])]
-    return m[:i] + (tuple(acc),) + m[i + 1 :]
 
 
 def reflect_columns(m: Matrix, i: int, c: Vector) -> Matrix:

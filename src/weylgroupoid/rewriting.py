@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from .groupoid import (
     GroupoidElement,
     Word,
+    _alternating,
     c_element,
     canonical_reduced_word,
     compose,
@@ -64,9 +65,7 @@ def _move_at(s: RootGroupoidScheme, w: Word, path: list[int], p: int) -> BraidMo
     if x == y:
         return None
     m = rank_two_count(s, x, y, path[p + 1])
-    if not isinstance(m, int) or p + m > len(w.letters):
-        return None
-    if all(w.letters[p + t] == (x if t % 2 == 0 else y) for t in range(m)):
+    if isinstance(m, int) and w.letters[p : p + m] == _alternating(x, y, m):
         return BraidMove(p, x, y, m, path[p + m])
     return None
 
@@ -76,7 +75,8 @@ def applicable_moves(s: RootGroupoidScheme, w: Word) -> list[BraidMove]:
 
     A segment qualifies when it alternates between two distinct letters
     and its length equals the (finite) rank-two count of the pair at the
-    object its rightmost letter acts from.
+    object its leftmost letter acts from; on data that passes axiom 5 it
+    is the count at the move's anchor, where its rightmost letter acts.
     """
     path = word_path(s, w.letters, w.base)
     moves = (_move_at(s, w, path, p) for p in range(len(w.letters) - 1))
@@ -99,9 +99,7 @@ def apply_move(s: RootGroupoidScheme, w: Word, mv: BraidMove) -> Word:
 
 def _swap(w: Word, mv: BraidMove) -> Word:
     """The word with the move's segment replaced; mv must come from applicable_moves(s, w)."""
-    swapped = tuple(
-        mv.second if t % 2 == 0 else mv.first for t in range(mv.m)
-    )
+    swapped = _alternating(mv.second, mv.first, mv.m)
     letters = w.letters[: mv.position] + swapped + w.letters[mv.position + mv.m :]
     return Word(w.base, letters)
 
@@ -137,38 +135,32 @@ def braid_connect(s: RootGroupoidScheme, u: Word, v: Word) -> MoveChain:
     if u == v:
         return MoveChain(u, (), v)
 
-    parent_u: dict[Word, tuple[Word, BraidMove] | None] = {u: None}
-    parent_v: dict[Word, tuple[Word, BraidMove] | None] = {v: None}
-    frontier_u, frontier_v = [u], [v]
+    # word -> (previous word, move) and the frontier, u side 0 and v side 1
+    parents: tuple[dict[Word, tuple[Word, BraidMove] | None], ...] = ({u: None}, {v: None})
+    frontiers = [[u], [v]]
 
     meet = None
     while meet is None:
-        if not frontier_u and not frontier_v:
+        # an empty frontier's parent map holds its whole braid class: no meet
+        if not frontiers[0] or not frontiers[1]:
             raise RuntimeError(
                 "braid search exhausted the reduced words without connecting; "
                 "scheme data is inconsistent"
             )
         # expand the smaller frontier; ties expand the u side
-        if frontier_u and (not frontier_v or len(frontier_u) <= len(frontier_v)):
-            side, other = parent_u, parent_v
-            frontier = frontier_u
-        else:
-            side, other = parent_v, parent_u
-            frontier = frontier_v
+        side = 0 if len(frontiers[0]) <= len(frontiers[1]) else 1
+        seen, other = parents[side], parents[1 - side]
         nxt = []
         meets = []
-        for w in sorted(frontier, key=_word_key):
+        for w in sorted(frontiers[side], key=_word_key):
             for mv in applicable_moves(s, w):
                 w2 = _swap(w, mv)
-                if w2 not in side:
-                    side[w2] = (w, mv)
+                if w2 not in seen:
+                    seen[w2] = (w, mv)
                     nxt.append(w2)
                     if w2 in other:
                         meets.append(w2)
-        if side is parent_u:
-            frontier_u = nxt
-        else:
-            frontier_v = nxt
+        frontiers[side] = nxt
         if meets:
             meet = min(meets, key=_word_key)
 
@@ -177,13 +169,13 @@ def braid_connect(s: RootGroupoidScheme, u: Word, v: Word) -> MoveChain:
     # swapped
     moves = []
     w = meet
-    while parent_u[w] is not None:
-        w, mv = parent_u[w]
+    while parents[0][w] is not None:
+        w, mv = parents[0][w]
         moves.append(mv)
     moves.reverse()
     w = meet
-    while parent_v[w] is not None:
-        w, mv = parent_v[w]
+    while parents[1][w] is not None:
+        w, mv = parents[1][w]
         moves.append(BraidMove(mv.position, mv.second, mv.first, mv.m, mv.anchor))
 
     # the chain is self-checked before being returned
@@ -263,11 +255,7 @@ def weak_exchange_factor(
     if length(s, g) != m:
         raise ValueError("word is not reduced")
     image = mat_col(g.matrix, j)
-    simple_index = None
-    for i0 in range(s.rank):
-        if image == basis_vector(s.rank, i0):
-            simple_index = i0
-            break
+    simple_index = next((k for k in range(s.rank) if image == basis_vector(s.rank, k)), None)
     if simple_index is None:
         raise ValueError(
             "weak exchange hypothesis fails: the word does not send the chosen "
@@ -290,7 +278,7 @@ def weak_exchange_factor(
         d = rank_two_count(s, jt, k_current, tail_target)
         if not isinstance(d, int):
             raise RuntimeError("rank-two count is infinite; factorization is invalid")
-        blk_letters = tuple(jt if t % 2 == 0 else k_current for t in range(d - 1))
+        blk_letters = _alternating(jt, k_current, d - 1)
         # the block's inverse followed by the tail; it ends at the block's base
         rest = element_of_word(s, Word(tail.base, blk_letters[::-1] + tail.letters))
         rest_len = length(s, rest)

@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, replace
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from .intmat import (
     Vector,
@@ -38,7 +38,7 @@ from .scheme import (
     word_path,
 )
 
-# Not called here since reflections are applied by the one-row kernels,
+# Not called here since reflections are applied by the intmat kernels,
 # but kept bound in this module: the benchmark's tracer (bench/tracing.py)
 # counts calls through roots.mat_mul, roots.mat_vec and
 # roots.reflection_matrix.
@@ -101,22 +101,6 @@ def generate_roots(s: RootGroupoidScheme, cutoff: int) -> RootGroupoidScheme:
     return replace(s, positive_roots=positive, status=status, cutoff=cutoff)
 
 
-def _chain_walk(s: RootGroupoidScheme, i: int, j: int, a: int) -> Iterator[Vector]:
-    """Yield the alternating rank-two chain roots at a, in a-coordinates.
-
-    The m-th root is the image of the next simple root of the zigzag
-    i, j, i, ... under the first m reflections of the zigzag anchored at
-    a.  In a finite rank-two cone the walk produces exactly the cone and
-    reaches the j-th simple root last; the caller decides when to stop.
-    """
-    transform = identity_matrix(s.rank)
-    obj = a
-    for letter in itertools.cycle((i, j)):
-        yield mat_col(transform, letter)
-        obj = s.action[letter][obj]
-        transform = reflect_columns(transform, letter, s.coefficients[letter][obj])
-
-
 def _require_two_generators(s: RootGroupoidScheme, i: int, j: int, a: int) -> None:
     check_generator(s, i)
     check_generator(s, j)
@@ -135,20 +119,27 @@ def _closing_chain(
 ) -> tuple[list[Vector], Vector | None]:
     """Walk the rank-two chain at a until it reaches the j-th simple root.
 
-    Returns the distinct roots walked and the root that stopped the walk
-    early, None when the chain closed.  The walk stops early at a root of
-    height above bound or at a root it has already walked.
+    Root m of the chain, in a-coordinates, is the image of the next simple
+    root of the zigzag i, j, i, ... under its first m reflections anchored
+    at a; in a finite rank-two cone the walk produces exactly the cone and
+    reaches the j-th simple root last.  Returns the distinct roots walked
+    and the root that stopped the walk early, None when the chain closed.
+    The walk stops early at a root of height above bound or at a root it
+    has already walked.
     """
     last = basis_vector(s.rank, j)
     chain: list[Vector] = []
-    seen: set[Vector] = set()
-    for root in _chain_walk(s, i, j, a):
-        if height(root) > bound or root in seen:
+    transform = identity_matrix(s.rank)
+    obj = a
+    for letter in itertools.cycle((i, j)):
+        root = mat_col(transform, letter)
+        if height(root) > bound or root in chain:
             return chain, root
-        seen.add(root)
         chain.append(root)
         if root == last:
             return chain, None
+        obj = s.action[letter][obj]
+        transform = reflect_columns(transform, letter, s.coefficients[letter][obj])
 
 
 def rank_two_count(s: RootGroupoidScheme, i: int, j: int, a: int) -> int | float:

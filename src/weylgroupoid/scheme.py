@@ -178,13 +178,13 @@ def act_word(s: RootGroupoidScheme, letters: Sequence[int], a: int) -> int:
 
 
 def theta(s: RootGroupoidScheme, i: int, j: int, a: int) -> int:
-    """Size of the two-generator orbit of an object.
+    """Least m >= 1 with (r_i r_j)^m(a) = a, the Coxeter-relation exponent.
 
-    Computed by the interleaved recursion a_{m+1} = i |> b_m,
-    b_{m+1} = j |> a_m starting from a_0 = b_0 = a; the value is the
-    least m >= 1 with a_m == b_m.  The object set is finite, so the
-    recursion always terminates.  Symmetric in i and j, and constant
-    along the orbit itself.
+    Not the size of the two-generator orbit of a, which can be twice m.
+    Computed by the recursion a_{m+1} = i |> b_m, b_{m+1} = j |> a_m from
+    a_0 = b_0 = a: for an involutive action a_m == b_m exactly then.  The
+    object set is finite, so the recursion terminates.  Symmetric in i
+    and j, and constant along the two-generator orbit.
     """
     check_generator(s, i)
     check_generator(s, j)

@@ -157,6 +157,14 @@ def test_enumerate_on_invalid_scheme_names_axiom(affine_file):
     assert p.stdout.startswith("axiom 5 FAIL (generator 1 at object a")
 
 
+def test_braid_on_invalid_scheme_names_axiom(affine_file):
+    # "1 2" is reduced in affine A1; braid used to print "FAIL first word is not reduced"
+    p = run_subprocess("braid", "--scheme", str(affine_file), "--base", "a",
+                       "--word", "1 2", "--word2", "1 2", "--machine")
+    assert p.returncode == 1
+    assert p.stdout.startswith("axiom 5 FAIL (generator 1 at object a")
+
+
 def test_longest_cross_checks_its_length(tmp_path):
     # on root data that fails axiom 4 the longest element's length (1) and
     # its canonical word (2 1) disagree; longest used to print both, exit 0

@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import math
 import random
 
 import pytest
@@ -7,12 +8,25 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import weylgroupoid as wg
-from weylgroupoid import Word
+from weylgroupoid import Word, rewriting
 from weylgroupoid.groupoid import generator_element
 from weylgroupoid.rewriting import BraidMove
 
 A, B, C, D, E = range(5)
 EX5 = wg.rank3_example()  # for the hypothesis test, which cannot take fixtures in its strategy
+E6 = (
+    (2, -1, 0, 0, 0, 0),
+    (-1, 2, -1, 0, 0, 0),
+    (0, -1, 2, -1, 0, -1),
+    (0, 0, -1, 2, -1, 0),
+    (0, 0, 0, -1, 2, 0),
+    (0, 0, -1, 0, 0, 2),
+)
+ORACLE_SCHEMES = {
+    "EX": EX5,
+    "BI3": wg.generate_roots(wg.from_bicharacter(((3, 2, 0), (0, 3, 2), (0, 0, 3)), 12, 6), 30),
+    "E6": wg.generate_roots(wg.from_cartan(E6), 30),
+}
 
 DISPLAY = [
     Word(A, (0, 1, 0, 2, 1, 2, 0, 2, 1, 0)),
@@ -147,6 +161,45 @@ def test_apply_move_accepts_exactly_the_applicable_moves(case):
         assert wg.element_of_word(EX5, w2) == wg.element_of_word(EX5, w)
 
 
+@st.composite
+def _alternation_heavy_word(draw, s):
+    """A word made of up to four alternating runs x, y, x, ... of 1 to 7 letters."""
+    letter = st.integers(0, s.rank - 1)
+    letters = []
+    for _ in range(draw(st.integers(0, 4))):
+        x, y = draw(letter), draw(letter)
+        letters += [y if t % 2 else x for t in range(draw(st.integers(1, 7)))]
+    return Word(draw(st.integers(0, s.n_objects - 1)), tuple(letters))
+
+
+def _oracle_moves(s, w):
+    """Every alternating segment as long as the rank-two chain of its letter
+    pair, walked at the object the segment's rightmost letter acts from."""
+    n = len(w.letters)
+    acts_from = [w.base] * (n + 1)  # entry k: the object letter k acts from
+    for k in range(n - 1, -1, -1):
+        acts_from[k] = s.action[w.letters[k]][acts_from[k + 1]]
+    moves = []
+    for p in range(n - 1):
+        x, y = w.letters[p], w.letters[p + 1]
+        for m in range(2, n - p + 1):
+            if x == y or w.letters[p + m - 1] != (y if m % 2 == 0 else x):
+                break
+            anchor = acts_from[p + m]
+            if len(wg.rank_two_positive_chain(s, x, y, anchor)) == m:
+                moves.append(BraidMove(p, x, y, m, anchor))
+    return moves
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_SCHEMES))
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(data=st.data())
+def test_applicable_moves_match_chain_oracle(name, data):
+    s = ORACLE_SCHEMES[name]
+    w = data.draw(_alternation_heavy_word(s))
+    assert wg.applicable_moves(s, w) == _oracle_moves(s, w)
+
+
 # ---------------------------------------------------------------------------
 # braid connectivity
 
@@ -155,6 +208,14 @@ def test_connect_word_to_itself(ex5):
     w = Word(A, (0, 2))
     chain = wg.braid_connect(ex5, w, w)
     assert chain.moves == ()
+
+
+def test_connect_raises_when_braid_classes_do_not_meet(ex5, monkeypatch):
+    # with no move applicable each word is its own braid class, so the first
+    # expansion empties the u frontier
+    monkeypatch.setattr(rewriting, "rank_two_count", lambda *args: math.inf)
+    with pytest.raises(RuntimeError, match="exhausted the reduced words"):
+        wg.braid_connect(ex5, Word(A, (0, 1, 0)), Word(A, (1, 0, 1)))
 
 
 def test_connect_three_term_pair(ex5):

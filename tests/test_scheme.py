@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import json
 import re
 
@@ -176,6 +177,18 @@ def test_theta_symmetry_and_invariance(ex5):
                 assert t == wg.theta(ex5, j, i, a)
                 assert t == wg.theta(ex5, i, j, wg.act(ex5, i, a))
                 assert t == wg.theta(ex5, i, j, wg.act(ex5, j, a))
+
+
+@pytest.mark.parametrize("name", ["EX", "BI3"])
+def test_theta_is_the_order_of_the_rotation(ex5, name):
+    # the least m >= 1 with (r_i r_j)^m(a) = a, read off the action table
+    s = ex5 if name == "EX" else wg.from_bicharacter(((3, 2, 0), (0, 3, 2), (0, 0, 3)), 12, 6)
+    for i, j in itertools.permutations(range(s.rank), 2):
+        for a in range(s.n_objects):
+            m, b = 1, s.action[i][s.action[j][a]]
+            while b != a:
+                m, b = m + 1, s.action[i][s.action[j][b]]
+            assert wg.theta(s, i, j, a) == m
 
 
 def test_theta_rejects_equal_generators(ex5):
