@@ -166,10 +166,9 @@ def cmd_eq(s, args) -> int:
 
 
 def cmd_braid(s, args) -> int:
-    # blame the root data, not a word; braid_connect reports truncated data
-    if s.status == scheme.FINITE:
-        for w in (args.word, args.word2):
-            _checked_word(s, groupoid.element_of_word(s, w))
+    # blame the root data, not a word
+    for w in (args.word, args.word2):
+        _checked_word(s, groupoid.element_of_word(s, w))
     try:
         chain = rewriting.braid_connect(s, args.word, args.word2)
     except ValueError as e:

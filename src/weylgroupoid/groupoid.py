@@ -159,66 +159,62 @@ def is_descent(s: RootGroupoidScheme, g: GroupoidElement, j: int) -> bool:
     return is_nonpos(mat_col(g.matrix, j))
 
 
+def _greedy_walk(s: RootGroupoidScheme, g: GroupoidElement, descents: bool):
+    """Append the smallest right descent (for descents=False, non-descent) while one is left.
+
+    Stops after as many letters as g's source has positive roots.  Returns
+    the letters, the element reached and the next letter (None if none).
+    """
+    bound = len(s.positive_roots[g.source])
+    letters, current = [], g
+    while True:
+        candidates = (j for j in range(s.rank) if is_nonpos(mat_col(current.matrix, j)) == descents)
+        j = next(candidates, None)
+        if j is None or len(letters) == bound:
+            return letters, current, j
+        letters.append(j)
+        current = _times_generator(s, current, j)
+
+
 def canonical_reduced_word(s: RootGroupoidScheme, g: GroupoidElement) -> Word:
     """Reduced word for g obtained by stripping smallest right descents.
 
-    Deterministic: at each step the smallest generator index among the
-    right descents is removed.  The result has length equal to length(g)
-    and evaluates back to g.  If stripping finds no descent, or has not
-    reached the identity after as many letters as the source has positive
-    roots, InconsistentSchemeError is raised.
+    Deterministic; the result has length(g) letters and evaluates back to
+    g.  If stripping finds no descent, or has not reached the identity
+    after as many letters as the source has positive roots,
+    InconsistentSchemeError is raised.
     """
     if g.is_zero:
         raise ValueError("the zero element has no reduced word")
     _require_finite_roots(s)
-    base = g.source
-    bound = len(s.positive_roots[base])
-    reversed_letters = []
-    current = g
-    identity = identity_matrix(s.rank)
-    while current.matrix != identity:
-        j = next(
-            (j for j in range(s.rank) if is_nonpos(mat_col(current.matrix, j))), None
+    letters, current, _ = _greedy_walk(s, g, descents=True)
+    if current.matrix != identity_matrix(s.rank):
+        raise InconsistentSchemeError(
+            f"stripping descents does not reach the identity within "
+            f"{len(s.positive_roots[g.source])} letters; scheme data is inconsistent"
         )
-        if j is None or len(reversed_letters) == bound:
-            raise InconsistentSchemeError(
-                f"stripping descents does not reach the identity within {bound} letters; "
-                "scheme data is inconsistent"
-            )
-        reversed_letters.append(j)
-        current = _times_generator(s, current, j)
     if current.source != current.target:
         raise ValueError("identity matrix between distinct objects; scheme data is inconsistent")
-    return Word(base, tuple(reversed(reversed_letters)))
+    return Word(g.source, tuple(reversed(letters)))
 
 
 def longest_element(s: RootGroupoidScheme, a: int) -> GroupoidElement:
     """The unique maximal-length element with the given source.
 
-    Built greedily: starting from the identity, keep appending any
-    generator whose simple root is still sent to a positive root; the
-    construction with target a is inverted at the end.  The result's
-    length is the number of positive roots, so the construction stops
-    after that many steps; if it has not finished by then, the stored
+    Appends the smallest non-descent to the identity at a until none is
+    left, then inverts.  The result's length is the number of positive
+    roots; if the walk has not ended after that many steps, the stored
     roots violate the axioms and InconsistentSchemeError is raised.
     """
     check_object(s, a)
     _require_finite_roots(s)
-    bound = len(s.positive_roots[a])
-    current = identity_element(s, a)
-    for steps in range(bound + 1):
-        j = next(
-            (j for j in range(s.rank) if not is_nonpos(mat_col(current.matrix, j))),
-            None,
-        )
-        if j is None:
-            return inverse(current)
-        if steps == bound:
-            break
-        current = _times_generator(s, current, j)
+    _, current, j = _greedy_walk(s, identity_element(s, a), descents=False)
+    if j is None:
+        return inverse(current)
     raise InconsistentSchemeError(
-        f"longest element from object {s.objects[a]} not reached within {bound} steps, "
-        "its number of positive roots; scheme data is inconsistent"
+        f"longest element from object {s.objects[a]} not reached within "
+        f"{len(s.positive_roots[a])} steps, its number of positive roots; "
+        "scheme data is inconsistent"
     )
 
 

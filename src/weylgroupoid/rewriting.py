@@ -23,7 +23,6 @@ from .groupoid import (
     element_of_word,
     generator_element,
     length,
-    word_target,
 )
 from .intmat import basis_vector, mat_col
 from .roots import rank_two_count
@@ -108,6 +107,22 @@ def _word_key(w: Word):
     return (w.letters, w.base)
 
 
+def _next_level(s: RootGroupoidScheme, frontier: list[Word], parents: dict) -> list[Word]:
+    """The words one braid move from the frontier that parents does not hold yet.
+
+    Expands the frontier in _word_key order; records each new word in
+    parents as word -> (previous word, move).
+    """
+    nxt = []
+    for w in sorted(frontier, key=_word_key):
+        for mv in applicable_moves(s, w):
+            w2 = _swap(w, mv)
+            if w2 not in parents:
+                parents[w2] = (w, mv)
+                nxt.append(w2)
+    return nxt
+
+
 def braid_connect(s: RootGroupoidScheme, u: Word, v: Word) -> MoveChain:
     """A shortest chain of braid moves transforming u into v.
 
@@ -127,9 +142,10 @@ def braid_connect(s: RootGroupoidScheme, u: Word, v: Word) -> MoveChain:
                 f"{s.objects[gu.target]} != {s.objects[gv.target]}"
             )
         raise ValueError("words evaluate to different elements")
-    if length(s, gu) != len(u.letters):
+    n = length(s, gu)
+    if n != len(u.letters):
         raise ValueError("first word is not reduced")
-    if length(s, gv) != len(v.letters):
+    if n != len(v.letters):
         raise ValueError("second word is not reduced")
 
     if u == v:
@@ -139,8 +155,8 @@ def braid_connect(s: RootGroupoidScheme, u: Word, v: Word) -> MoveChain:
     parents: tuple[dict[Word, tuple[Word, BraidMove] | None], ...] = ({u: None}, {v: None})
     frontiers = [[u], [v]]
 
-    meet = None
-    while meet is None:
+    meets: list[Word] = []
+    while not meets:
         # an empty frontier's parent map holds its whole braid class: no meet
         if not frontiers[0] or not frontiers[1]:
             raise RuntimeError(
@@ -149,20 +165,9 @@ def braid_connect(s: RootGroupoidScheme, u: Word, v: Word) -> MoveChain:
             )
         # expand the smaller frontier; ties expand the u side
         side = 0 if len(frontiers[0]) <= len(frontiers[1]) else 1
-        seen, other = parents[side], parents[1 - side]
-        nxt = []
-        meets = []
-        for w in sorted(frontiers[side], key=_word_key):
-            for mv in applicable_moves(s, w):
-                w2 = _swap(w, mv)
-                if w2 not in seen:
-                    seen[w2] = (w, mv)
-                    nxt.append(w2)
-                    if w2 in other:
-                        meets.append(w2)
-        frontiers[side] = nxt
-        if meets:
-            meet = min(meets, key=_word_key)
+        frontiers[side] = _next_level(s, frontiers[side], parents[side])
+        meets = [w for w in frontiers[side] if w in parents[1 - side]]
+    meet = min(meets, key=_word_key)
 
     # walk back from the meet to u, then on from the meet to v; the
     # inverse of a move is the move at the same position with the letters
@@ -195,16 +200,10 @@ def all_reduced_words(s: RootGroupoidScheme, g: GroupoidElement) -> set[Word]:
     if g.is_zero:
         raise ValueError("the zero element has no reduced words")
     start = canonical_reduced_word(s, g)
-    seen = {start}
-    frontier = [start]
+    frontier, parents = [start], {start: None}
     while frontier:
-        w = frontier.pop()
-        for mv in applicable_moves(s, w):
-            w2 = _swap(w, mv)
-            if w2 not in seen:
-                seen.add(w2)
-                frontier.append(w2)
-    return seen
+        frontier = _next_level(s, frontier, parents)
+    return set(parents)
 
 
 @dataclass(frozen=True)
@@ -268,28 +267,26 @@ def weak_exchange_factor(
     anchors: list[int] = []
     block_sizes: list[int] = []
 
-    tail = w
+    tail, tail_target = w, g.target
     k_current = simple_index
     while tail.letters:
         jt = tail.letters[0]
         if jt == k_current:
             raise RuntimeError("block letters coincide; factorization is invalid")
-        tail_target = word_target(s, tail)
         d = rank_two_count(s, jt, k_current, tail_target)
         if not isinstance(d, int):
             raise RuntimeError("rank-two count is infinite; factorization is invalid")
         blk_letters = _alternating(jt, k_current, d - 1)
         # the block's inverse followed by the tail; it ends at the block's base
         rest = element_of_word(s, Word(tail.base, blk_letters[::-1] + tail.letters))
-        rest_len = length(s, rest)
-        if rest_len != len(tail.letters) - (d - 1):
+        if length(s, rest) != len(tail.letters) - (d - 1):
             raise RuntimeError("block stripping did not shorten as required")
         js.append(jt)
         ks.append(k_current)
         anchors.append(rest.target)
         block_sizes.append(d)
         k_next = jt if d % 2 == 1 else k_current
-        tail = canonical_reduced_word(s, rest)
+        tail, tail_target = canonical_reduced_word(s, rest), rest.target
         # invariant: the tail still sends the j-th simple root of the base
         # to the simple root k_next at its own target
         if mat_col(rest.matrix, j) != basis_vector(s.rank, k_next):

@@ -181,21 +181,19 @@ def theta(s: RootGroupoidScheme, i: int, j: int, a: int) -> int:
     """Least m >= 1 with (r_i r_j)^m(a) = a, the Coxeter-relation exponent.
 
     Not the size of the two-generator orbit of a, which can be twice m.
-    Computed by the recursion a_{m+1} = i |> b_m, b_{m+1} = j |> a_m from
-    a_0 = b_0 = a: for an involutive action a_m == b_m exactly then.  The
-    object set is finite, so the recursion terminates.  Symmetric in i
-    and j, and constant along the two-generator orbit.
+    Symmetric in i and j, and constant along the two-generator orbit.
+    RuntimeError if a does not return within n_objects steps (only a
+    non-involutive action allows that).
     """
     check_generator(s, i)
     check_generator(s, j)
     check_object(s, a)
     if i == j:
         raise ValueError("theta requires two distinct generators")
-    am, bm = a, a
-    limit = 2 * s.n_objects * s.n_objects + 2
-    for m in range(1, limit + 1):
-        am, bm = s.action[i][bm], s.action[j][am]
-        if am == bm:
+    b = a
+    for m in range(1, s.n_objects + 1):
+        b = s.action[i][s.action[j][b]]
+        if b == a:
             return m
     raise RuntimeError("theta recursion did not close on a finite object set")
 
@@ -510,7 +508,7 @@ def _axiom7(s: RootGroupoidScheme) -> Iterator[str]:
                     t = theta(s, i, j, a)
                 except RuntimeError:
                     # only a non-involutive action, which axiom 1 names, keeps
-                    # the recursion from closing
+                    # the orbit from closing
                     yield (
                         f"generators {_gen_label(i)},{_gen_label(j)} at object "
                         f"{s.objects[a]}: theta recursion does not close"

@@ -188,6 +188,18 @@ def test_longest_on_truncated_scheme_reports_truncation(tmp_path, capsys):
     assert "truncated" in captured.err and "axiom" not in captured.out
 
 
+def test_braid_on_truncated_scheme_reports_truncation(tmp_path, capsys):
+    # braid used to print "FAIL operation requires finite root data ..." on stdout
+    a4 = ((2, -1, 0, 0), (-1, 2, -1, 0), (0, -1, 2, -1), (0, 0, -1, 2))
+    path = tmp_path / "a4.json"
+    path.write_text(wg.save_scheme(wg.from_cartan(a4)), encoding="utf-8")
+    code = main(["braid", "--scheme", str(path), "--base", "a", "--word", "1 2 1",
+                 "--word2", "2 1 2", "--cutoff", "1"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == "" and "truncated" in captured.err
+
+
 def test_roots_lists_all_objects(scheme_file, capsys):
     code, out = run(capsys, "roots", "--scheme", scheme_file, "--machine")
     assert code == 0

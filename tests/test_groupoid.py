@@ -170,6 +170,13 @@ def test_canonical_word_is_bounded_on_inconsistent_roots(affine_file):
         wg.canonical_reduced_word(aff, g)
 
 
+def test_longest_element_is_bounded_on_inconsistent_roots(affine_file):
+    # affine A1 has no longest element; the walk stops at the two stored roots
+    aff = wg.load_scheme(affine_file.read_text(encoding="utf-8"))
+    with pytest.raises(wg.InconsistentSchemeError, match="not reached within 2"):
+        wg.longest_element(aff, A)
+
+
 # ---------------------------------------------------------------------------
 # longest elements and enumeration
 

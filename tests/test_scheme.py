@@ -191,6 +191,17 @@ def test_theta_is_the_order_of_the_rotation(ex5, name):
             assert wg.theta(s, i, j, a) == m
 
 
+def test_theta_raises_when_the_orbit_does_not_return():
+    # built directly, since load_scheme rejects a non-involutive action:
+    # generator 2 sends b to a and a to a, so (r_1 r_2)^m(b) = a for all m >= 1
+    s = wg.RootGroupoidScheme(
+        rank=2, objects=("a", "b"), action=((0, 1), (0, 0)),
+        coefficients=(((-1, 0),) * 2, ((0, -1),) * 2), mode=wg.PRESCRIBED,
+    )
+    with pytest.raises(RuntimeError, match="did not close"):
+        wg.theta(s, 0, 1, 1)
+
+
 def test_theta_rejects_equal_generators(ex5):
     with pytest.raises(ValueError):
         wg.theta(ex5, 1, 1, A)
