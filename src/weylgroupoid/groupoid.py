@@ -8,26 +8,25 @@ composition and arises exactly when sources and targets fail to match.
 Words follow the convention that the rightmost letter acts first; the
 object chain of a word is always derived from its base object, so a word
 can never be "mismatched" and its evaluation is never zero.
+
+On a finite scheme an element's matrix columns, the images of the simple
+roots, are roots of its target, so word evaluation, length, the weak-order
+walk and enumeration work on their indices in the scheme's root tables
+(RootGroupoidScheme.root_tables).
 """
 
 from __future__ import annotations
 
+import itertools
+import operator
 from dataclasses import dataclass
 
-from .intmat import (
-    Matrix,
-    identity_matrix,
-    is_nonpos,
-    mat_col,
-    mat_inverse,
-    mat_mul,
-    mat_vec,
-    reflect_columns,
-)
+from .intmat import Matrix, identity_matrix, mat_inverse, mat_mul, reflect_columns
 from .roots import rank_two_count
 from .scheme import (
     InconsistentSchemeError,
     RootGroupoidScheme,
+    RootTables,
     _require_finite_roots,
     act,
     act_word,
@@ -36,6 +35,10 @@ from .scheme import (
     reflection_matrix,
     word_path,
 )
+
+# Not called here, but kept bound in this module: the benchmark's tracer
+# (bench/tracing.py) counts calls through groupoid.mat_vec.
+from .intmat import mat_vec  # noqa: E402,F401
 
 
 @dataclass(frozen=True)
@@ -96,28 +99,33 @@ def generator_element(s: RootGroupoidScheme, i: int, a: int) -> GroupoidElement:
     return GroupoidElement(a, act(s, i, a), reflection_matrix(s, i, a))
 
 
+def _element(tables: RootTables, source: int, target: int, cols) -> GroupoidElement:
+    """The element from source to target whose columns have these root indices."""
+    return GroupoidElement(source, target, tuple(zip(*map(tables.roots[target].__getitem__, cols))))
+
+
 def element_of_word(s: RootGroupoidScheme, w: Word) -> GroupoidElement:
     """Evaluate a word: the product of its reflection matrices.
 
-    Built leftmost letter first, each letter's matrix multiplying on the
-    right as in _times_generator; the result is never zero.
+    With root tables, the simple roots of the base are carried through
+    the letters, rightmost first, by index lookups.  Without them
+    (roots missing or truncated, or breaking axiom 2, 3 or 5) each
+    letter's matrix multiplies on the right, leftmost letter first.
+    Either way the result is never zero, and root data raises nothing.
     """
     path = word_path(s, w.letters, w.base)
-    matrix = identity_matrix(s.rank)
-    # each letter with the object it acts from, leftmost first
-    for i, a in zip(w.letters, path[1:]):
-        matrix = reflect_columns(matrix, i, s.coefficients[i][a])
-    return GroupoidElement(w.base, path[0], matrix)
-
-
-def _times_generator(s: RootGroupoidScheme, g: GroupoidElement, j: int) -> GroupoidElement:
-    """g after the j-th generator that ends at g's source.
-
-    Equals compose(g, generator_element(s, j, act(s, j, g.source))) for a
-    nonzero g and a generator index already checked.
-    """
-    b = s.action[j][g.source]
-    return GroupoidElement(b, g.target, reflect_columns(g.matrix, j, s.coefficients[j][b]))
+    try:
+        tables = s.root_tables
+    except ValueError:  # roots missing, truncated or inconsistent
+        matrix = identity_matrix(s.rank)
+        # each letter with the object it acts from, leftmost first
+        for i, a in zip(w.letters, path[1:]):
+            matrix = reflect_columns(matrix, i, s.coefficients[i][a])
+        return GroupoidElement(w.base, path[0], matrix)
+    cols = tables.simple[w.base]
+    for i, a in zip(reversed(w.letters), reversed(path[1:])):
+        cols = tuple(map(tables.sigma[i][a].__getitem__, cols))
+    return _element(tables, w.base, path[0], cols)
 
 
 def compose(g: GroupoidElement, h: GroupoidElement) -> GroupoidElement:
@@ -137,13 +145,15 @@ def length(s: RootGroupoidScheme, g: GroupoidElement):
     """Number of positive source roots sent negative; MINUS_INFINITY for zero.
 
     Equals the minimal number of generators in any word evaluating to g.
+    Roots are sign coherent, so g sends beta to a negative root exactly
+    when h.beta < 0, where h holds the heights of g's columns.  Raises as
+    root_tables does on roots that are missing, truncated or inconsistent.
     """
     if g.is_zero:
         return MINUS_INFINITY
-    _require_finite_roots(s)
-    return sum(
-        1 for r in s.positive_roots[g.source] if is_nonpos(mat_vec(g.matrix, r))
-    )
+    s.root_tables  # raises unless the roots are finite and consistent
+    h = [sum(col) for col in zip(*g.matrix)]
+    return sum(1 for r in s.positive_roots[g.source] if sum(map(operator.mul, h, r)) < 0)
 
 
 def is_descent(s: RootGroupoidScheme, g: GroupoidElement, j: int) -> bool:
@@ -156,24 +166,53 @@ def is_descent(s: RootGroupoidScheme, g: GroupoidElement, j: int) -> bool:
         raise ValueError("the zero element has no descents")
     check_generator(s, j)
     _require_finite_roots(s)
-    return is_nonpos(mat_col(g.matrix, j))
+    return all(row[j] <= 0 for row in g.matrix)
 
 
-def _greedy_walk(s: RootGroupoidScheme, g: GroupoidElement, descents: bool):
+def _append_generator(
+    s: RootGroupoidScheme, tables: RootTables, source: int, target: int, cols, j: int
+):
+    """g after the j-th generator that ends at g's source, on root indices.
+
+    g runs from source to target and its columns have the indices cols.
+    The product's column j is the negative of g's, and each column k
+    where the reflection has a coefficient c gains c times g's column j.
+    Returns the product's source and column indices; KeyError if a column
+    leaves the target's roots, which only a non-element g allows.
+    """
+    b = s.action[j][source]
+    roots, index = tables.roots[target], tables.index[target]
+    col_j = roots[cols[j]]
+    out = list(cols)
+    for k, c in enumerate(s.coefficients[j][b]):
+        if c and k != j:
+            step = col_j if c == 1 else tuple(map(operator.mul, col_j, itertools.repeat(c)))
+            out[k] = index[tuple(map(operator.add, roots[cols[k]], step))]
+    out[j] = ~cols[j]
+    return b, out
+
+
+def _greedy_walk(s: RootGroupoidScheme, source: int, target: int, cols, descents: bool):
     """Append the smallest right descent (for descents=False, non-descent) while one is left.
 
-    Stops after as many letters as g's source has positive roots.  Returns
-    the letters, the element reached and the next letter (None if none).
+    Walks up from the element from source to target whose columns have
+    the root indices cols, so j is a descent exactly when cols[j] is
+    negative.  Stops after as many letters as the source has positive
+    roots.  Returns the letters, the source and columns reached, and the
+    next letter (None if none).
     """
-    bound = len(s.positive_roots[g.source])
-    letters, current = [], g
+    # A loop guard only: under axioms 2, 3 and 5, which the tables need,
+    # each step changes the length by at least one, so the walk stops by
+    # itself within this many letters.
+    bound = len(s.positive_roots[source])
+    tables = s.root_tables
+    letters = []
     while True:
-        candidates = (j for j in range(s.rank) if is_nonpos(mat_col(current.matrix, j)) == descents)
-        j = next(candidates, None)
+        j = next((j for j, k in enumerate(cols) if (k < 0) == descents), None)
         if j is None or len(letters) == bound:
-            return letters, current, j
+            return letters, source, list(cols), j
         letters.append(j)
-        current = _times_generator(s, current, j)
+        source, cols = _append_generator(s, tables, source, target, cols, j)
 
 
 def canonical_reduced_word(s: RootGroupoidScheme, g: GroupoidElement) -> Word:
@@ -186,14 +225,23 @@ def canonical_reduced_word(s: RootGroupoidScheme, g: GroupoidElement) -> Word:
     """
     if g.is_zero:
         raise ValueError("the zero element has no reduced word")
-    _require_finite_roots(s)
-    letters, current, _ = _greedy_walk(s, g, descents=True)
-    if current.matrix != identity_matrix(s.rank):
+    tables = s.root_tables
+    try:
+        cols = [tables.index[g.target][col] for col in zip(*g.matrix)]
+        letters, source, cols, _ = _greedy_walk(s, g.source, g.target, cols, descents=True)
+    except KeyError:
+        raise ValueError(
+            "matrix columns are not roots of its target; not a groupoid element"
+        ) from None
+    # The walk has stopped without a descent.  A product of reflections
+    # that keeps every positive root positive but is not the identity
+    # would end here; no root data with tables is known to give one.
+    if cols != list(tables.simple[g.target]):
         raise InconsistentSchemeError(
             f"stripping descents does not reach the identity within "
             f"{len(s.positive_roots[g.source])} letters; scheme data is inconsistent"
         )
-    if current.source != current.target:
+    if source != g.target:
         raise ValueError("identity matrix between distinct objects; scheme data is inconsistent")
     return Word(g.source, tuple(reversed(letters)))
 
@@ -202,15 +250,16 @@ def longest_element(s: RootGroupoidScheme, a: int) -> GroupoidElement:
     """The unique maximal-length element with the given source.
 
     Appends the smallest non-descent to the identity at a until none is
-    left, then inverts.  The result's length is the number of positive
-    roots; if the walk has not ended after that many steps, the stored
-    roots violate the axioms and InconsistentSchemeError is raised.
+    left, then inverts by evaluating the letters in reverse order.  The
+    result's length is the number of positive roots; if the walk has not
+    ended after that many steps, the stored roots violate the axioms and
+    InconsistentSchemeError is raised.
     """
     check_object(s, a)
-    _require_finite_roots(s)
-    _, current, j = _greedy_walk(s, identity_element(s, a), descents=False)
+    letters, _, _, j = _greedy_walk(s, a, a, s.root_tables.simple[a], descents=False)
     if j is None:
-        return inverse(current)
+        return element_of_word(s, Word(a, tuple(reversed(letters))))
+    # Unreachable once the tables exist (see _greedy_walk); kept as a guard.
     raise InconsistentSchemeError(
         f"longest element from object {s.objects[a]} not reached within "
         f"{len(s.positive_roots[a])} steps, its number of positive roots; "
@@ -223,35 +272,43 @@ def enumerate_elements(
 ) -> list[GroupoidElement]:
     """All elements of the groupoid, by breadth-first closure.
 
-    Starts from the identities and appends generators on the right;
+    Starts from the identities (only the one at source, if given) and
+    composes generators on the left, by index lookups on the columns;
     level k of the search holds the elements of length k, so it ends by
     the level after the largest number of positive roots of any object.
     If that level is not empty, the stored roots violate the axioms and
     InconsistentSchemeError is raised.  Sorted by (length, source,
     target, matrix); optionally filtered by source object.
     """
-    _require_finite_roots(s)
+    tables = s.root_tables
     if source is not None:
         check_object(s, source)
     bound = max(len(pos) for pos in s.positive_roots)
-    frontier = [identity_element(s, a) for a in range(s.n_objects)]
-    depth: dict[GroupoidElement, int] = {g: 0 for g in frontier}
+    sources = range(s.n_objects) if source is None else (source,)
+    generators = list(zip(s.action, tables.sigma))
+    # (source, target, column indices) per element
+    frontier = [(a, a, tables.simple[a]) for a in sources]
+    depth = dict.fromkeys(frontier, 0)
     for level in range(1, bound + 2):
         nxt = []
-        for g in frontier:
-            for j in range(s.rank):
-                h = _times_generator(s, g, j)
-                if h not in depth:
-                    depth[h] = level
-                    nxt.append(h)
+        for a, b, cols in frontier:
+            for action, sigma in generators:
+                key = (a, action[b], tuple(map(sigma[b].__getitem__, cols)))
+                if key not in depth:
+                    depth[key] = level
+                    nxt.append(key)
         frontier = nxt
     if frontier:
         raise InconsistentSchemeError(
             f"elements of length {bound + 1} found, more than the {bound} positive roots "
             "of any object; scheme data is inconsistent"
         )
-    items = sorted(depth.items(), key=lambda kv: (kv[1], kv[0].source, kv[0].target, kv[0].matrix))
-    return [g for g, _ in items if source is None or g.source == source]
+    # (length, source, target, matrix) tuples are distinct, so they sort alone
+    items = sorted(
+        (n, a, b, tuple(zip(*map(tables.roots[b].__getitem__, cols))))
+        for (a, b, cols), n in depth.items()
+    )
+    return [GroupoidElement(a, b, matrix) for _, a, b, matrix in items]
 
 
 def c_element(s: RootGroupoidScheme, i: int, j: int, a: int) -> Word:

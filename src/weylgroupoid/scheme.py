@@ -131,6 +131,79 @@ class RootGroupoidScheme:
                         counts[i][j][a] += 1
         return tuple(tuple(tuple(row) for row in per_i) for per_i in counts)
 
+    @cached_property
+    def root_tables(self) -> RootTables:
+        """The scheme's root-index tables, built on first use.
+
+        Needs finite roots (ValueError otherwise) that pass axioms 2, 3 and
+        5, on which the index representation relies; otherwise raises
+        InconsistentSchemeError with the first failing axiom's witness.
+        Kept on the instance like rank_two_counts, so equality, hashing and
+        replace() ignore it.
+        """
+        _require_finite_roots(self)
+        for axiom, check in ((2, _axiom2), (3, _axiom3)):
+            witness = next(check(self), None)
+            if witness is not None:
+                raise InconsistentSchemeError(f"axiom {axiom} FAIL ({witness})")
+        tables = _build_root_tables(self)
+        if tables is None:
+            raise InconsistentSchemeError(f"axiom 5 FAIL ({next(_axiom5(self))})")
+        return tables
+
+
+@dataclass(frozen=True, eq=False)
+class RootTables:
+    """A finite scheme's roots as indices, per object a with P positive roots.
+
+    Index k in 0..P-1 names the k-th stored positive root and ~k (that is
+    -k - 1) its negative, so an index is negative exactly when its root
+    is, and ~ negates it.
+      roots[a]     the 2P roots: the stored positive half, then its
+                   negatives in reverse order, so that roots[a][k] is the
+                   root of index k for every k in -P..P-1
+      index[a]     root -> index
+      sigma[i][a]  the reflection at (i, a) on indices: entry k is the
+                   index in i |> a of the image of root k, k in -P..P-1
+      simple[a]    simple[a][j] is the index of the j-th simple root
+    """
+
+    roots: tuple[tuple[Vector, ...], ...]
+    index: tuple[dict[Vector, int], ...]
+    sigma: tuple[tuple[tuple[int, ...], ...], ...]
+    simple: tuple[tuple[int, ...], ...]
+
+
+def _build_root_tables(s: RootGroupoidScheme) -> RootTables | None:
+    """Root tables of finite roots that pass axioms 2 and 3; None unless
+    they pass axiom 5 too.
+
+    Under axioms 2 and 3 a stored half and its negatives are disjoint.  A
+    reflection is injective, so it maps the roots of a onto those of
+    i |> a exactly when every image is found there and both sets have
+    the same size, which is axiom 5.
+    """
+    roots = tuple(pos + tuple(neg(r) for r in reversed(pos)) for pos in s.positive_roots)
+    index = tuple(
+        dict(zip(full, [*range(len(pos)), *range(-len(pos), 0)]))
+        for full, pos in zip(roots, s.positive_roots)
+    )
+    sigma = []
+    for i in range(s.rank):
+        row = []
+        for a, pos in enumerate(s.positive_roots):
+            target = index[s.action[i][a]]
+            images = [target.get(reflect_vector(i, s.coefficients[i][a], r)) for r in pos]
+            if None in images or len(target) != len(index[a]):
+                return None
+            # reflections are linear: the image of -r is the negative of r's
+            row.append(tuple(images + [~k for k in reversed(images)]))
+        sigma.append(tuple(row))
+    simple = tuple(
+        tuple(idx[s.simple_root(j)] for j in range(s.rank)) for idx in index
+    )
+    return RootTables(roots, index, tuple(sigma), simple)
+
 
 def _require_roots(s: RootGroupoidScheme) -> None:
     if s.positive_roots is None:

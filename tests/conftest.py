@@ -44,7 +44,7 @@ def affine_file(tmp_path):
     """Affine A1 prescribed with its simple roots only.
 
     The file loads but fails axiom 5.  Its Coxeter group is infinite, so
-    element operations on it must stop at their bounds.
+    element operations that need root tables must refuse it.
     """
     path = tmp_path / "affine.json"
     path.write_text(json.dumps({

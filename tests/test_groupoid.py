@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 
 import pytest
 
@@ -11,6 +12,12 @@ from weylgroupoid.intmat import identity_matrix
 A, B, C, D, E = range(5)
 
 LONGEST_A = Word(A, (0, 1, 0, 2, 1, 2, 0, 2, 1, 0))
+
+# the first failing axiom of the affine_file fixture, as validate words it
+AFFINE_AXIOM_5 = re.escape(
+    "axiom 5 FAIL (generator 1 at object a: image does not equal the root set of a, "
+    "first mismatch (0,-1))"
+)
 
 
 # ---------------------------------------------------------------------------
@@ -162,19 +169,35 @@ def test_canonical_word_is_reduced_and_canonical(ex5):
         assert wg.canonical_reduced_word(ex5, g) == w
 
 
+def test_canonical_word_rejects_a_matrix_that_is_no_element(ex5):
+    # twice the first simple root is not a root of a
+    g = wg.GroupoidElement(A, A, ((2, 0, 0), (0, 1, 0), (0, 0, 1)))
+    with pytest.raises(ValueError, match="not a groupoid element"):
+        wg.canonical_reduced_word(ex5, g)
+
+
 def test_canonical_word_is_bounded_on_inconsistent_roots(affine_file):
-    # (1 2)^2 has no reduced word within the two stored positive roots
+    # (1 2)^2 has no reduced word within the two stored positive roots; the
+    # root tables refuse the file before any walk starts
     aff = wg.load_scheme(affine_file.read_text(encoding="utf-8"))
     g = wg.element_of_word(aff, Word(A, (0, 1, 0, 1)))
-    with pytest.raises(wg.InconsistentSchemeError, match="within 2 letters"):
+    with pytest.raises(wg.InconsistentSchemeError, match=AFFINE_AXIOM_5):
         wg.canonical_reduced_word(aff, g)
 
 
 def test_longest_element_is_bounded_on_inconsistent_roots(affine_file):
-    # affine A1 has no longest element; the walk stops at the two stored roots
+    # affine A1 has no longest element; the root tables refuse the file
     aff = wg.load_scheme(affine_file.read_text(encoding="utf-8"))
-    with pytest.raises(wg.InconsistentSchemeError, match="not reached within 2"):
+    with pytest.raises(wg.InconsistentSchemeError, match=AFFINE_AXIOM_5):
         wg.longest_element(aff, A)
+
+
+def test_length_refuses_inconsistent_roots(affine_file):
+    # counting the two stored roots would give length 1 for a word of length 4
+    aff = wg.load_scheme(affine_file.read_text(encoding="utf-8"))
+    g = wg.element_of_word(aff, Word(A, (0, 1, 0, 1)))
+    with pytest.raises(wg.InconsistentSchemeError, match=AFFINE_AXIOM_5):
+        wg.length(aff, g)
 
 
 # ---------------------------------------------------------------------------
@@ -208,11 +231,42 @@ def test_longest_unique_per_source(ex5):
 
 
 def test_enumerate_is_bounded_on_inconsistent_roots(affine_file):
-    # the infinite dihedral group has elements of every length; the search
-    # stops at length 3, one more than the two stored positive roots
+    # the infinite dihedral group has elements of every length; the root
+    # tables refuse the file before the search starts
     aff = wg.load_scheme(affine_file.read_text(encoding="utf-8"))
-    with pytest.raises(wg.InconsistentSchemeError, match="length 3"):
+    with pytest.raises(wg.InconsistentSchemeError, match=AFFINE_AXIOM_5):
         wg.enumerate_elements(aff)
+
+
+@pytest.fixture
+def a2_swapped():
+    """A2 at two objects that generator 2 swaps and generator 1 fixes.
+
+    Axioms 1-6 hold, so the root tables exist; axiom 7 fails (theta 2 does
+    not divide count 3), and (1 2)^3 is the identity matrix from a to b.
+    """
+    s = wg.RootGroupoidScheme(
+        rank=2, objects=("a", "b"), action=((0, 1), (1, 0)),
+        coefficients=(((-1, 1),) * 2, ((1, -1),) * 2), mode=wg.GENERATED,
+    )
+    return wg.generate_roots(s, 10)
+
+
+def test_enumerate_is_bounded_when_only_axiom_7_fails(a2_swapped):
+    assert [r.axiom for r in wg.validate(a2_swapped).results if not r.passed] == [7]
+    # the identity matrix from a to b is first reached at length 6
+    with pytest.raises(
+        wg.InconsistentSchemeError,
+        match="elements of length 4 found, more than the 3 positive roots",
+    ):
+        wg.enumerate_elements(a2_swapped)
+
+
+def test_canonical_word_rejects_identity_between_objects(a2_swapped):
+    g = wg.element_of_word(a2_swapped, Word(A, (0, 1) * 3))
+    assert (g.source, g.target, g.matrix) == (A, B, identity_matrix(2))
+    with pytest.raises(ValueError, match="identity matrix between distinct objects"):
+        wg.canonical_reduced_word(a2_swapped, g)
 
 
 def test_enumerate_rank_one(rank1):

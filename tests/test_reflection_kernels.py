@@ -1,13 +1,18 @@
-"""The one-row reflection kernels and the integer inverse against dense products."""
+"""The one-row reflection kernels, the integer inverse and the root tables
+against dense products and brute force."""
+
+import dataclasses
+import re
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import weylgroupoid as wg
-from weylgroupoid.groupoid import _times_generator
+from weylgroupoid.groupoid import _append_generator, _element
 from weylgroupoid.intmat import (
     identity_matrix,
+    is_nonpos,
     mat_inverse,
     mat_mul,
     mat_vec,
@@ -30,6 +35,12 @@ SCHEMES = {
     "BI3": wg.generate_roots(wg.from_bicharacter(((3, 2, 0), (0, 3, 2), (0, 0, 3)), 12, 6), 30),
     "BI2": wg.generate_roots(wg.from_bicharacter(((2, 1), (0, 2)), 12, 3), 30),
     "E6": wg.generate_roots(wg.from_cartan(E6), 30),
+}
+# schemes without root tables, whose words evaluate by matrix products
+MATRIX_SCHEMES = {
+    # affine A1 cut at height 10
+    "truncated": wg.generate_roots(wg.from_cartan(((2, -2), (-2, 2))), 10),
+    "unmaterialized": wg.from_bicharacter(((3, 2, 0), (0, 3, 2), (0, 0, 3)), 12, 6),
 }
 
 PROPERTY = settings(derandomize=True, database=None, max_examples=200, deadline=None)
@@ -89,30 +100,129 @@ def test_mat_inverse_is_two_sided(p, data):
 
 
 @st.composite
-def _scheme_word(draw):
-    name = draw(st.sampled_from(sorted(SCHEMES)))
-    s = SCHEMES[name]
+def _scheme_word(draw, schemes=SCHEMES):
+    name = draw(st.sampled_from(sorted(schemes)))
+    s = schemes[name]
     base = draw(st.integers(0, s.n_objects - 1))
     letters = tuple(draw(st.lists(st.integers(0, s.rank - 1), max_size=20)))
     return s, wg.Word(base, letters)
 
 
-@PROPERTY
-@given(_scheme_word())
-def test_element_of_word_equals_dense_product(case):
-    s, w = case
+def _dense_product(s, w):
+    """The word's element as a product of dense reflection matrices."""
     matrix, obj = identity_matrix(s.rank), w.base
     for i in reversed(w.letters):
         matrix = mat_mul(reflection_matrix(s, i, obj), matrix)
         obj = s.action[i][obj]
-    assert wg.element_of_word(s, w) == wg.GroupoidElement(w.base, obj, matrix)
+    return wg.GroupoidElement(w.base, obj, matrix)
+
+
+@PROPERTY
+@given(_scheme_word({**SCHEMES, **MATRIX_SCHEMES}))
+def test_element_of_word_equals_dense_product(case):
+    s, w = case
+    assert wg.element_of_word(s, w) == _dense_product(s, w)
 
 
 @PROPERTY
 @given(_scheme_word(), st.data())
 def test_times_generator_equals_compose(case, data):
+    # one step of the weak-order walk, on the root indices of the columns
     s, w = case
     g = wg.element_of_word(s, w)
     j = data.draw(st.integers(0, s.rank - 1))
     want = wg.compose(g, wg.generator_element(s, j, wg.act(s, j, g.source)))
-    assert _times_generator(s, g, j) == want
+    tables = s.root_tables
+    cols = [tables.index[g.target][col] for col in zip(*g.matrix)]
+    source, cols = _append_generator(s, tables, g.source, g.target, cols, j)
+    assert _element(tables, source, g.target, cols) == want
+
+
+def _inversion_count(s, g):
+    """Positive roots of g's source that g sends to nonpositive vectors."""
+    return sum(1 for r in s.positive_roots[g.source] if is_nonpos(mat_vec(g.matrix, r)))
+
+
+@PROPERTY
+@given(_scheme_word())
+def test_length_equals_inversion_count(case):
+    s, w = case
+    g = wg.element_of_word(s, w)
+    assert wg.length(s, g) == _inversion_count(s, g)
+
+
+def _matrix_bfs(s):
+    """Every element, by appending generators on the right, level by level."""
+    frontier = [wg.identity_element(s, a) for a in range(s.n_objects)]
+    depth = {g: 0 for g in frontier}
+    while frontier:
+        nxt = []
+        for g in frontier:
+            for j in range(s.rank):
+                b = s.action[j][g.source]
+                matrix = reflect_columns(g.matrix, j, s.coefficients[j][b])
+                h = wg.GroupoidElement(b, g.target, matrix)
+                if h not in depth:
+                    depth[h] = depth[g] + 1
+                    nxt.append(h)
+        frontier = nxt
+    return sorted(depth, key=lambda g: (depth[g], g.source, g.target, g.matrix))
+
+
+@pytest.mark.parametrize("name", sorted(SCHEMES))
+def test_enumerate_equals_matrix_bfs(name):
+    s = SCHEMES[name]
+    assert wg.enumerate_elements(s) == _matrix_bfs(s)
+
+
+@pytest.mark.parametrize("name", ["BI2", "BI3", "example"])
+def test_enumerate_from_one_source_is_the_filter(name):
+    # with a source, the search grows only from that source's identity
+    s = SCHEMES[name]
+    elements = wg.enumerate_elements(s)
+    for a in range(s.n_objects):
+        assert wg.enumerate_elements(s, a) == [g for g in elements if g.source == a]
+
+
+# ---------------------------------------------------------------------------
+# the root tables' cache and guard
+
+
+def test_root_tables_are_built_once():
+    s = SCHEMES["BI3"]
+    assert s.root_tables is s.root_tables
+
+
+def test_root_tables_leave_equality_hash_and_repr():
+    s = SCHEMES["example"]
+    fresh = dataclasses.replace(s)
+    s.root_tables
+    assert fresh == s and hash(fresh) == hash(s)
+    assert repr(fresh) == repr(s)
+    assert fresh.root_tables is not s.root_tables
+    assert fresh.root_tables.sigma == s.root_tables.sigma
+
+
+def _with_roots(s, a, roots):
+    per_object = list(s.positive_roots)
+    per_object[a] = tuple(sorted(roots))
+    return dataclasses.replace(s, positive_roots=tuple(per_object))
+
+
+def _inconsistent_schemes(affine_text):
+    ex = SCHEMES["example"]
+    yield 2, _with_roots(ex, 0, [r for r in ex.positive_roots[0] if r != (0, 1, 0)])
+    yield 3, _with_roots(ex, 0, ex.positive_roots[0] + ((1, -1, 0),))
+    yield 5, wg.load_scheme(affine_text)
+
+
+def test_root_tables_refuse_inconsistent_roots(affine_file):
+    for axiom, s in _inconsistent_schemes(affine_file.read_text(encoding="utf-8")):
+        witness = wg.validate(s).result(axiom).witness
+        assert witness is not None
+        w = wg.Word(0, (0, 1, 0, 1))
+        g = wg.element_of_word(s, w)
+        assert g == _dense_product(s, w)
+        message = re.escape(f"axiom {axiom} FAIL ({witness})")
+        with pytest.raises(wg.InconsistentSchemeError, match=message):
+            wg.length(s, g)
