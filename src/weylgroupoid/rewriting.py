@@ -6,7 +6,9 @@ of the letter pair at the object the segment acts from.  Moves preserve
 base, length, and evaluation.  Any two reduced words of the same element
 are connected by such moves, so braid search decides the word problem for
 reduced words; the search enforces this as a runtime assertion and fails
-hard if it would have to leave the element's reduced-word set.
+hard if it would have to leave the element's reduced-word set.  The search
+runs on letter tuples at a fixed base and reads m from the scheme's
+rank-two table; Word and BraidMove are built only for its results.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from .groupoid import (
 )
 from .intmat import basis_vector, mat_col
 from .roots import rank_two_count
-from .scheme import RootGroupoidScheme, act, check_generator, word_path
+from .scheme import FINITE, RootGroupoidScheme, act, check_generator, word_path
 
 
 @dataclass(frozen=True)
@@ -54,19 +56,36 @@ class MoveChain:
     end: Word
 
 
-def _move_at(s: RootGroupoidScheme, w: Word, path: list[int], p: int) -> BraidMove | None:
-    """The braid move whose segment starts at position p, or None.
-
-    path is word_path(s, w.letters, w.base); the one-position test behind
-    both applicable_moves and apply_move.
+def _segments(s: RootGroupoidScheme, letters: tuple[int, ...], base: int, positions=None) -> list:
+    """The braid moves of a word as (position, first, second, m, anchor) tuples,
+    at every position or only at those given.  On finite data m is read
+    from the rank-two table, elsewhere from rank_two_count; either asks for
+    root data at the first pair of distinct letters.  A segment qualifies
+    when its m letters repeat with period two.
     """
-    x, y = w.letters[p], w.letters[p + 1]
-    if x == y:
-        return None
-    m = rank_two_count(s, x, y, path[p + 1])
-    if isinstance(m, int) and w.letters[p : p + m] == _alternating(x, y, m):
-        return BraidMove(p, x, y, m, path[p + m])
-    return None
+    path = word_path(s, letters, base)
+    n = len(letters)
+    finite = s.status == FINITE
+    found = []
+    for p in range(n - 1) if positions is None else positions:
+        x, y = letters[p], letters[p + 1]
+        if x == y:
+            continue
+        if finite:
+            m = s.rank_two_counts[x][y][path[p + 1]]
+        else:
+            m = rank_two_count(s, x, y, path[p + 1])
+            if not isinstance(m, int):
+                continue
+        if p + m <= n and (m < 3 or letters[p + 2 : p + m] == letters[p : p + m - 2]):
+            found.append((p, x, y, m, path[p + m]))
+    return found
+
+
+def _swapped(letters: tuple[int, ...], seg) -> tuple[int, ...]:
+    """The letters with the segment replaced by the opposite alternation."""
+    p, x, y, m, _ = seg
+    return letters[:p] + ((y, x) * m)[:m] + letters[p + m :]
 
 
 def applicable_moves(s: RootGroupoidScheme, w: Word) -> list[BraidMove]:
@@ -77,9 +96,7 @@ def applicable_moves(s: RootGroupoidScheme, w: Word) -> list[BraidMove]:
     object its leftmost letter acts from; on data that passes axiom 5 it
     is the count at the move's anchor, where its rightmost letter acts.
     """
-    path = word_path(s, w.letters, w.base)
-    moves = (_move_at(s, w, path, p) for p in range(len(w.letters) - 1))
-    return [mv for mv in moves if mv is not None]
+    return [BraidMove(*seg) for seg in _segments(s, w.letters, w.base)]
 
 
 def apply_move(s: RootGroupoidScheme, w: Word, mv: BraidMove) -> Word:
@@ -90,36 +107,28 @@ def apply_move(s: RootGroupoidScheme, w: Word, mv: BraidMove) -> Word:
     length, and evaluation.  Applying the induced move at the same
     position again restores the original word.
     """
-    path = word_path(s, w.letters, w.base)
-    if mv.position not in range(len(w.letters) - 1) or _move_at(s, w, path, mv.position) != mv:
+    p = mv.position
+    at = [p] if p in range(len(w.letters) - 1) else []
+    segs = _segments(s, w.letters, w.base, at)
+    if segs != [(p, mv.first, mv.second, mv.m, mv.anchor)]:
         raise ValueError("move is not applicable to this word")
-    return _swap(w, mv)
+    return Word(w.base, _swapped(w.letters, segs[0]))
 
 
-def _swap(w: Word, mv: BraidMove) -> Word:
-    """The word with the move's segment replaced; mv must come from applicable_moves(s, w)."""
-    swapped = _alternating(mv.second, mv.first, mv.m)
-    letters = w.letters[: mv.position] + swapped + w.letters[mv.position + mv.m :]
-    return Word(w.base, letters)
+def _next_level(s: RootGroupoidScheme, base: int, frontier: list, parents: dict) -> list:
+    """The letter tuples one braid move from the frontier that parents does not hold yet.
 
-
-def _word_key(w: Word):
-    return (w.letters, w.base)
-
-
-def _next_level(s: RootGroupoidScheme, frontier: list[Word], parents: dict) -> list[Word]:
-    """The words one braid move from the frontier that parents does not hold yet.
-
-    Expands the frontier in _word_key order; records each new word in
-    parents as word -> (previous word, move).
+    All words are based at base.  Expands the frontier in tuple order;
+    records each new word in parents as letters -> (previous letters,
+    segment).
     """
     nxt = []
-    for w in sorted(frontier, key=_word_key):
-        for mv in applicable_moves(s, w):
-            w2 = _swap(w, mv)
-            if w2 not in parents:
-                parents[w2] = (w, mv)
-                nxt.append(w2)
+    for letters in sorted(frontier):
+        for seg in _segments(s, letters, base):
+            new = _swapped(letters, seg)
+            if new not in parents:
+                parents[new] = (letters, seg)
+                nxt.append(new)
     return nxt
 
 
@@ -151,11 +160,12 @@ def braid_connect(s: RootGroupoidScheme, u: Word, v: Word) -> MoveChain:
     if u == v:
         return MoveChain(u, (), v)
 
-    # word -> (previous word, move) and the frontier, u side 0 and v side 1
-    parents: tuple[dict[Word, tuple[Word, BraidMove] | None], ...] = ({u: None}, {v: None})
-    frontiers = [[u], [v]]
+    # letters -> (previous letters, segment) and the frontier, u side 0 and
+    # v side 1; every word of the search is based at u.base
+    parents: tuple[dict, dict] = ({u.letters: None}, {v.letters: None})
+    frontiers = [[u.letters], [v.letters]]
 
-    meets: list[Word] = []
+    meets: list[tuple[int, ...]] = []
     while not meets:
         # an empty frontier's parent map holds its whole braid class: no meet
         if not frontiers[0] or not frontiers[1]:
@@ -165,9 +175,9 @@ def braid_connect(s: RootGroupoidScheme, u: Word, v: Word) -> MoveChain:
             )
         # expand the smaller frontier; ties expand the u side
         side = 0 if len(frontiers[0]) <= len(frontiers[1]) else 1
-        frontiers[side] = _next_level(s, frontiers[side], parents[side])
+        frontiers[side] = _next_level(s, u.base, frontiers[side], parents[side])
         meets = [w for w in frontiers[side] if w in parents[1 - side]]
-    meet = min(meets, key=_word_key)
+    meet = min(meets)
 
     # walk back from the meet to u, then on from the meet to v; the
     # inverse of a move is the move at the same position with the letters
@@ -175,13 +185,13 @@ def braid_connect(s: RootGroupoidScheme, u: Word, v: Word) -> MoveChain:
     moves = []
     w = meet
     while parents[0][w] is not None:
-        w, mv = parents[0][w]
-        moves.append(mv)
+        w, seg = parents[0][w]
+        moves.append(BraidMove(*seg))
     moves.reverse()
     w = meet
     while parents[1][w] is not None:
-        w, mv = parents[1][w]
-        moves.append(BraidMove(mv.position, mv.second, mv.first, mv.m, mv.anchor))
+        w, (p, x, y, m, anchor) = parents[1][w]
+        moves.append(BraidMove(p, y, x, m, anchor))
 
     # the chain is self-checked before being returned
     w = u
@@ -200,10 +210,10 @@ def all_reduced_words(s: RootGroupoidScheme, g: GroupoidElement) -> set[Word]:
     if g.is_zero:
         raise ValueError("the zero element has no reduced words")
     start = canonical_reduced_word(s, g)
-    frontier, parents = [start], {start: None}
+    frontier, parents = [start.letters], {start.letters: None}
     while frontier:
-        frontier = _next_level(s, frontier, parents)
-    return set(parents)
+        frontier = _next_level(s, start.base, frontier, parents)
+    return {Word(start.base, letters) for letters in parents}
 
 
 @dataclass(frozen=True)

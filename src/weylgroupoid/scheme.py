@@ -239,9 +239,12 @@ def word_path(s: RootGroupoidScheme, letters: Sequence[int], a: int) -> list[int
     so entry 0 is the target.  Checks a, then each letter as applied."""
     check_object(s, a)
     path = [a] * (len(letters) + 1)
+    rank, action = s.rank, s.action
     for k in range(len(letters) - 1, -1, -1):
-        check_generator(s, letters[k])
-        path[k] = s.action[letters[k]][path[k + 1]]
+        i = letters[k]
+        if not 0 <= i < rank:
+            check_generator(s, i)
+        path[k] = action[i][path[k + 1]]
     return path
 
 

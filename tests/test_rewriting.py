@@ -1,6 +1,5 @@
 import dataclasses
 import itertools
-import math
 import random
 
 import pytest
@@ -8,9 +7,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import weylgroupoid as wg
-from weylgroupoid import Word, rewriting
-from weylgroupoid.groupoid import generator_element
+from weylgroupoid import Word
+from weylgroupoid.groupoid import _alternating, generator_element
 from weylgroupoid.rewriting import BraidMove
+from weylgroupoid.scheme import word_path
 
 A, B, C, D, E = range(5)
 EX5 = wg.rank3_example()  # for the hypothesis test, which cannot take fixtures in its strategy
@@ -107,6 +107,14 @@ def test_applying_move_twice_restores(ex5):
     w2 = wg.apply_move(ex5, w, mv)
     back = BraidMove(mv.position, mv.second, mv.first, mv.m, mv.anchor)
     assert wg.apply_move(ex5, w2, back) == w
+
+
+def test_moves_ask_for_roots_only_at_distinct_letters(ex5):
+    # a pair of equal letters never needs a rank-two count, so it needs no roots
+    for s in (wg.strip_roots(ex5), dataclasses.replace(ex5, positive_roots=None)):
+        assert wg.applicable_moves(s, Word(A, (0, 0))) == []
+        with pytest.raises(ValueError, match="root sets are not materialized"):
+            wg.applicable_moves(s, Word(A, (0, 1)))
 
 
 def test_apply_rejects_inapplicable_move(ex5):
@@ -210,12 +218,14 @@ def test_connect_word_to_itself(ex5):
     assert chain.moves == ()
 
 
-def test_connect_raises_when_braid_classes_do_not_meet(ex5, monkeypatch):
+def test_connect_raises_when_braid_classes_do_not_meet(ex5):
     # with no move applicable each word is its own braid class, so the first
-    # expansion empties the u frontier
-    monkeypatch.setattr(rewriting, "rank_two_count", lambda *args: math.inf)
+    # expansion empties the u frontier; a rank-two table whose counts exceed
+    # every word's length leaves no segment to match
+    s = dataclasses.replace(ex5)
+    vars(s)["rank_two_counts"] = ((((99,) * s.n_objects,) * s.rank,) * s.rank)
     with pytest.raises(RuntimeError, match="exhausted the reduced words"):
-        wg.braid_connect(ex5, Word(A, (0, 1, 0)), Word(A, (1, 0, 1)))
+        wg.braid_connect(s, Word(A, (0, 1, 0)), Word(A, (1, 0, 1)))
 
 
 def test_connect_three_term_pair(ex5):
@@ -246,6 +256,128 @@ def test_connect_rejects_unreduced(ex5):
 def test_connect_rejects_different_bases(ex5):
     with pytest.raises(ValueError, match="bases"):
         wg.braid_connect(ex5, Word(A, (0,)), Word(B, (0,)))
+
+
+# ---------------------------------------------------------------------------
+# the braid search against the Word-keyed search it replaced
+
+
+def _word_move_at(s, w, path, p):
+    x, y = w.letters[p], w.letters[p + 1]
+    if x == y:
+        return None
+    m = wg.rank_two_count(s, x, y, path[p + 1])
+    if isinstance(m, int) and w.letters[p : p + m] == _alternating(x, y, m):
+        return BraidMove(p, x, y, m, path[p + m])
+    return None
+
+
+def _word_moves(s, w):
+    path = word_path(s, w.letters, w.base)
+    moves = (_word_move_at(s, w, path, p) for p in range(len(w.letters) - 1))
+    return [mv for mv in moves if mv is not None]
+
+
+def _word_key(w):
+    return (w.letters, w.base)
+
+
+def _word_next_level(s, frontier, parents):
+    nxt = []
+    for w in sorted(frontier, key=_word_key):
+        for mv in _word_moves(s, w):
+            swapped = _alternating(mv.second, mv.first, mv.m)
+            w2 = Word(w.base, w.letters[: mv.position] + swapped + w.letters[mv.position + mv.m :])
+            if w2 not in parents:
+                parents[w2] = (w, mv)
+                nxt.append(w2)
+    return nxt
+
+
+def _word_connect(s, u, v):
+    """The moves of the bidirectional Word-keyed search from u to v."""
+    if u == v:
+        return ()
+    parents, frontiers, meets = ({u: None}, {v: None}), [[u], [v]], []
+    while not meets:
+        assert frontiers[0] and frontiers[1]
+        side = 0 if len(frontiers[0]) <= len(frontiers[1]) else 1
+        frontiers[side] = _word_next_level(s, frontiers[side], parents[side])
+        meets = [w for w in frontiers[side] if w in parents[1 - side]]
+    meet = min(meets, key=_word_key)
+    moves, w = [], meet
+    while parents[0][w] is not None:
+        w, mv = parents[0][w]
+        moves.append(mv)
+    moves.reverse()
+    w = meet
+    while parents[1][w] is not None:
+        w, mv = parents[1][w]
+        moves.append(BraidMove(mv.position, mv.second, mv.first, mv.m, mv.anchor))
+    return tuple(moves)
+
+
+def _word_closure(s, g):
+    start = wg.canonical_reduced_word(s, g)
+    frontier, parents = [start], {start: None}
+    while frontier:
+        frontier = _word_next_level(s, frontier, parents)
+    return set(parents)
+
+
+def _cartan_scheme(matrix, cutoff=30):
+    return wg.generate_roots(wg.from_cartan(matrix), cutoff)
+
+
+SEARCH_SCHEMES = {
+    "EX": EX5,
+    "BI3": ORACLE_SCHEMES["BI3"],
+    "A4": _cartan_scheme(((2, -1, 0, 0), (-1, 2, -1, 0), (0, -1, 2, -1), (0, 0, -1, 2))),
+    "D4": _cartan_scheme(((2, -1, 0, 0), (-1, 2, -1, -1), (0, -1, 2, 0), (0, -1, 0, 2))),
+    "F4": _cartan_scheme(((2, -1, 0, 0), (-1, 2, -2, 0), (0, -1, 2, -1), (0, 0, -1, 2))),
+}
+TRUNCATED_SCHEMES = {
+    "affine A1": _cartan_scheme(((2, -2), (-2, 2)), 10),
+    "A2 + affine A1": _cartan_scheme(((2, -1, 0), (-1, 2, -2), (0, -2, 2)), 10),
+}
+
+
+@st.composite
+def _reduced_word(draw, s, max_size):
+    """A reduced word of at most max_size letters, grown from drawn letters
+    that each lengthen it."""
+    w = Word(draw(st.integers(0, s.n_objects - 1)), ())
+    letters = st.lists(st.integers(0, s.rank - 1), min_size=max_size, max_size=3 * max_size)
+    for i in draw(letters):
+        longer = Word(w.base, w.letters + (i,))
+        if len(longer) <= max_size and wg.length(s, wg.element_of_word(s, longer)) == len(longer):
+            w = longer
+    return w
+
+
+@pytest.mark.parametrize("name", sorted(SEARCH_SCHEMES))
+@settings(derandomize=True, database=None, max_examples=40, deadline=None)
+@given(data=st.data())
+def test_braid_search_matches_word_keyed_search(name, data):
+    s = SEARCH_SCHEMES[name]
+    u = data.draw(_reduced_word(s, 8))
+    g = wg.element_of_word(s, u)
+    closure = _word_closure(s, g)
+    assert wg.all_reduced_words(s, g) == closure
+    v = data.draw(st.sampled_from(sorted(closure, key=_word_key)))
+    for a, b in ((u, v), (v, u)):
+        chain = wg.braid_connect(s, a, b)
+        assert (chain.start, chain.moves, chain.end) == (a, _word_connect(s, a, b), b)
+
+
+@pytest.mark.parametrize("name", sorted(TRUNCATED_SCHEMES))
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(data=st.data())
+def test_applicable_moves_on_truncated_data_match_word_keyed_scan(name, data):
+    s = TRUNCATED_SCHEMES[name]
+    assert s.status == wg.TRUNCATED
+    w = data.draw(_alternation_heavy_word(s))
+    assert wg.applicable_moves(s, w) == _word_moves(s, w)
 
 
 # ---------------------------------------------------------------------------

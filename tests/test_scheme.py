@@ -152,6 +152,7 @@ def test_word_path_applies_each_letter_to_the_next_entry(case):
     (A, (0, 3, 1), "generator index 3 out of range 0..2"),
     (A, (-1, 0), "generator index -1 out of range 0..2"),
     (A, (4, 1, 3), "generator index 3 out of range 0..2"),  # the first letter applied
+    (B, (1, -1), "generator index -1 out of range 0..2"),  # action[-1] would not fail
 ])
 def test_word_path_rejects_bad_base_or_letter(ex5, base, letters, message):
     for walk in (word_path, wg.act_word):
