@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import random
+import re
 
 import pytest
 from hypothesis import example, given, settings
@@ -9,8 +10,9 @@ from hypothesis import strategies as st
 import weylgroupoid as wg
 from weylgroupoid import Word
 from weylgroupoid.groupoid import _alternating, generator_element
+from weylgroupoid.intmat import identity_matrix, mat_mul
 from weylgroupoid.rewriting import BraidMove
-from weylgroupoid.scheme import word_path
+from weylgroupoid.scheme import reflection_matrix, word_path
 
 A, B, C, D, E = range(5)
 EX5 = wg.rank3_example()  # for the hypothesis test, which cannot take fixtures in its strategy
@@ -471,3 +473,158 @@ def test_weak_exchange_rejects_unreduced(ex5):
 def test_weak_exchange_rejects_empty(ex5):
     with pytest.raises(ValueError, match="at least one"):
         wg.weak_exchange_factor(ex5, Word(A, ()), 0)
+
+
+def _tampered_rank_two(s, value):
+    """A copy of s whose rank-two table has counts[0][1][a] = value, and
+    counts[1][0][a] left as it was, so the table is no longer symmetric."""
+    t = dataclasses.replace(s)
+    counts = [[list(row) for row in per_i] for per_i in s.rank_two_counts]
+    counts[0][1][A] = value
+    vars(t)["rank_two_counts"] = tuple(tuple(map(tuple, per_i)) for per_i in counts)
+    return t
+
+
+@pytest.mark.parametrize(
+    "value, word, j, message",
+    [
+        (4, Word(E, (0, 1)), 0, "block stripping did not shorten"),
+        (2, Word(A, (0, 1)), 0, "block product does not reproduce"),
+        (4, Word(A, (1, 0, 2, 1)), 0, "relation blocks do not compose"),
+        (2, Word(C, (0, 1)), 0, "absorption identity fails on the shifted blocks"),
+        (2, Word(E, (0, 1)), 0, "exchange invariant broken"),
+    ],
+)
+def test_weak_exchange_self_checks_catch_a_tampered_rank_two_table(ex5, value, word, j, message):
+    # each word satisfies the hypothesis on the real data; one wrong count
+    # gives a block of the wrong size, which one of the checks must refuse
+    wg.weak_exchange_factor(ex5, word, j)
+    with pytest.raises(RuntimeError, match=message):
+        wg.weak_exchange_factor(_tampered_rank_two(ex5, value), word, j)
+
+
+# An oracle for factorizations built only from reflection matrices and
+# their products, independent of the root tables the library evaluates on.
+
+
+def _matrix_word(s, base, letters):
+    """Target and matrix of a word: the product of its reflection matrices,
+    the rightmost letter acting first."""
+    target, matrix = base, identity_matrix(s.rank)
+    for i in reversed(letters):
+        matrix = mat_mul(reflection_matrix(s, i, target), matrix)
+        target = s.action[i][target]
+    return target, matrix
+
+
+def _two_generator_roots(s, i, j, a):
+    """Number of positive roots of a supported on {i, j}."""
+    return sum(
+        all(x == 0 for t, x in enumerate(r) if t not in (i, j)) for r in s.positive_roots[a]
+    )
+
+
+def _matrix_blocks(s, fact, anchors):
+    """Source, target and matrix of the blocks C[0] ... C[r - 1] at these
+    anchors, each block starting where the block to its right ends."""
+    source = target = anchors[-1]
+    matrix = identity_matrix(s.rank)
+    for t in reversed(range(fact.r)):
+        assert target == anchors[t]
+        size = _two_generator_roots(s, fact.j[t], fact.k[t], anchors[t]) - 1
+        target, block = _matrix_word(s, anchors[t], _alternating(fact.j[t], fact.k[t], size))
+        matrix = mat_mul(block, matrix)
+    return source, target, matrix
+
+
+def _hypothesis_letters(s, w):
+    """The j for which the word sends the j-th simple root to a simple root."""
+    _, g = _matrix_word(s, w.base, w.letters)
+    return [j for j in range(s.rank) if sorted(row[j] for row in g) == [0] * (s.rank - 1) + [1]]
+
+
+def _assert_factorization_by_matrices(s, w, j):
+    fact = wg.weak_exchange_factor(s, w, j)
+    a, k0 = w.base, fact.k[0]
+    target, g = _matrix_word(s, a, w.letters)
+    sizes = [_two_generator_roots(s, fact.j[t], fact.k[t], fact.anchors[t]) for t in range(fact.r)]
+    assert sum(sizes) - fact.r == len(w.letters)
+    # the block product is the element of the word
+    assert _matrix_blocks(s, fact, fact.anchors) == (a, target, g)
+    assert wg.element_of_word(s, w) == wg.GroupoidElement(a, target, g)
+    # absorption, both ways: (blocks) s_{j, j|>a} = s_{k0} (shifted blocks)
+    # and (shifted blocks) s_{j, a} = s_{k0} (blocks)
+    shifted = [s.action[fact.k[t + 1]][fact.anchors[t]] for t in range(fact.r)]
+    source, shifted_target, h = _matrix_blocks(s, fact, shifted)
+    assert source == s.action[j][a]
+    assert s.action[k0][shifted_target] == target
+    assert mat_mul(g, reflection_matrix(s, j, source)) == mat_mul(
+        reflection_matrix(s, k0, shifted_target), h
+    )
+    assert mat_mul(h, reflection_matrix(s, j, a)) == mat_mul(reflection_matrix(s, k0, target), g)
+
+
+def test_weak_exchange_matches_matrix_oracle_on_criterion_7_cases(ex5):
+    checked = 0
+    for m in range(1, 6):
+        for base in range(5):
+            for letters in itertools.product(range(3), repeat=m):
+                w = Word(base, letters)
+                if wg.length(ex5, wg.element_of_word(ex5, w)) != m:
+                    continue
+                for j in _hypothesis_letters(ex5, w):
+                    _assert_factorization_by_matrices(ex5, w, j)
+                    checked += 1
+    assert checked == 80
+
+
+ORACLE_EXCHANGE_SCHEMES = {
+    "A4": SEARCH_SCHEMES["A4"],
+    "B3": _cartan_scheme(((2, -1, 0), (-1, 2, -1), (0, -2, 2))),
+    "F4": SEARCH_SCHEMES["F4"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_EXCHANGE_SCHEMES))
+def test_weak_exchange_matches_matrix_oracle_on_sampled_words(name):
+    s = ORACLE_EXCHANGE_SCHEMES[name]
+    rng = random.Random(11)
+    checked = 0
+    while checked < 40:
+        # a reduced word of up to 12 letters, grown by letters that lengthen it
+        w = Word(rng.randrange(s.n_objects), ())
+        for _ in range(rng.randint(1, 12)):
+            longer = Word(w.base, w.letters + (rng.randrange(s.rank),))
+            if wg.length(s, wg.element_of_word(s, longer)) == len(longer):
+                w = longer
+        for j in _hypothesis_letters(s, w):
+            _assert_factorization_by_matrices(s, w, j)
+            checked += 1
+
+
+@pytest.mark.parametrize("scheme", ["truncated", "stripped", "affine"])
+def test_weak_exchange_checks_letters_and_base_before_root_data(ex5, affine_file, scheme):
+    s = {
+        "truncated": TRUNCATED_SCHEMES["affine A1"],
+        "stripped": wg.strip_roots(ex5),
+        "affine": wg.load_scheme(affine_file.read_text(encoding="utf-8")),
+    }[scheme]
+    with pytest.raises(ValueError, match="generator index 9 out of range"):
+        wg.weak_exchange_factor(s, Word(0, (0,)), 9)
+    with pytest.raises(ValueError, match="generator index 9 out of range"):
+        wg.weak_exchange_factor(s, Word(0, (0, 9, 1)), 0)
+    with pytest.raises(ValueError, match="object index 7 out of range"):
+        wg.weak_exchange_factor(s, Word(7, (0, 9)), 0)
+
+
+def test_weak_exchange_refuses_truncated_roots():
+    s = TRUNCATED_SCHEMES["affine A1"]
+    with pytest.raises(ValueError, match="operation requires finite root data"):
+        wg.weak_exchange_factor(s, Word(A, (0,)), 1)
+
+
+def test_weak_exchange_refuses_inconsistent_roots(affine_file):
+    aff = wg.load_scheme(affine_file.read_text(encoding="utf-8"))
+    message = re.escape("axiom 5 FAIL (generator 1 at object a")
+    with pytest.raises(wg.InconsistentSchemeError, match=message):
+        wg.weak_exchange_factor(aff, Word(A, (0, 1, 0, 1)), 0)
