@@ -113,19 +113,27 @@ def element_of_word(s: RootGroupoidScheme, w: Word) -> GroupoidElement:
     letter's matrix multiplies on the right, leftmost letter first.
     Either way the result is never zero, and root data raises nothing.
     """
-    path = word_path(s, w.letters, w.base)
     try:
-        tables = s.root_tables
-    except ValueError:  # roots missing, truncated or inconsistent
+        path, cols = _word_columns(s, w.letters, w.base)
+    except ValueError:  # roots missing, truncated or inconsistent; a bad letter raises below
+        path = word_path(s, w.letters, w.base)
         matrix = identity_matrix(s.rank)
         # each letter with the object it acts from, leftmost first
         for i, a in zip(w.letters, path[1:]):
             matrix = reflect_columns(matrix, i, s.coefficients[i][a])
         return GroupoidElement(w.base, path[0], matrix)
-    cols = tables.simple[w.base]
-    for i, a in zip(reversed(w.letters), reversed(path[1:])):
+    return _element(s.root_tables, w.base, path[0], cols)
+
+
+def _word_columns(s: RootGroupoidScheme, letters, base: int):
+    """The word's path (see word_path), then the root indices of its columns:
+    the simple roots of the base carried through the letters, rightmost first."""
+    path = word_path(s, letters, base)
+    tables = s.root_tables
+    cols = tables.simple[base]
+    for i, a in zip(reversed(letters), reversed(path[1:])):
         cols = tuple(map(tables.sigma[i][a].__getitem__, cols))
-    return _element(tables, w.base, path[0], cols)
+    return path, cols
 
 
 def compose(g: GroupoidElement, h: GroupoidElement) -> GroupoidElement:
@@ -228,22 +236,28 @@ def canonical_reduced_word(s: RootGroupoidScheme, g: GroupoidElement) -> Word:
     tables = s.root_tables
     try:
         cols = [tables.index[g.target][col] for col in zip(*g.matrix)]
-        letters, source, cols, _ = _greedy_walk(s, g.source, g.target, cols, descents=True)
+        return Word(g.source, _stripped_letters(s, g.source, g.target, cols))
     except KeyError:
         raise ValueError(
             "matrix columns are not roots of its target; not a groupoid element"
         ) from None
+
+
+def _stripped_letters(s: RootGroupoidScheme, source: int, target: int, cols) -> tuple[int, ...]:
+    """The letters of canonical_reduced_word, and its errors, for the element
+    from source to target whose columns have the root indices cols."""
+    letters, reached, cols, _ = _greedy_walk(s, source, target, cols, descents=True)
     # The walk has stopped without a descent.  A product of reflections
     # that keeps every positive root positive but is not the identity
     # would end here; no root data with tables is known to give one.
-    if cols != list(tables.simple[g.target]):
+    if cols != list(s.root_tables.simple[target]):
         raise InconsistentSchemeError(
             f"stripping descents does not reach the identity within "
-            f"{len(s.positive_roots[g.source])} letters; scheme data is inconsistent"
+            f"{len(s.positive_roots[source])} letters; scheme data is inconsistent"
         )
-    if source != g.target:
+    if reached != target:
         raise ValueError("identity matrix between distinct objects; scheme data is inconsistent")
-    return Word(g.source, tuple(reversed(letters)))
+    return tuple(reversed(letters))
 
 
 def longest_element(s: RootGroupoidScheme, a: int) -> GroupoidElement:

@@ -13,22 +13,21 @@ rank-two table; Word and BraidMove are built only for its results.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 from .groupoid import (
     GroupoidElement,
     Word,
     _alternating,
-    c_element,
+    _stripped_letters,
+    _word_columns,
     canonical_reduced_word,
-    compose,
     element_of_word,
-    generator_element,
     length,
 )
-from .intmat import basis_vector, mat_col
 from .roots import rank_two_count
-from .scheme import FINITE, RootGroupoidScheme, act, check_generator, word_path
+from .scheme import FINITE, RootGroupoidScheme, check_generator, word_path
 
 
 @dataclass(frozen=True)
@@ -235,13 +234,17 @@ class WeakExchangeFactorization:
     anchors: tuple[int, ...]
 
 
-def _product_of_blocks(s: RootGroupoidScheme, words: list[Word]) -> GroupoidElement:
-    result = element_of_word(s, words[-1])
-    for w in reversed(words[:-1]):
-        result = compose(element_of_word(s, w), result)
-        if result.is_zero:
-            raise RuntimeError("relation blocks do not compose; factorization is invalid")
-    return result
+def _block_word(s: RootGroupoidScheme, js, ks, anchors):
+    """The blocks on (js[t], ks[t]) at anchors[t] as one word based at anchors[-1], its
+    path and its columns; raises unless each block starts where the block to its right ends."""
+    counts = s.rank_two_counts
+    words = [_alternating(x, y, counts[x][y][b] - 1) for x, y, b in zip(js, ks, anchors)]
+    letters = sum(words, ())
+    path, cols = _word_columns(s, letters, anchors[-1])
+    # block t is based at the object its rightmost letter acts from
+    if [path[end] for end in itertools.accumulate(map(len, words))] != anchors:
+        raise RuntimeError("relation blocks do not compose; factorization is invalid")
+    return letters, path, cols
 
 
 def weak_exchange_factor(
@@ -252,55 +255,56 @@ def weak_exchange_factor(
     Requires the word to be reduced and to map the j-th simple root of
     its base to a simple root at its target (the weak exchange
     hypothesis).  Blocks are extracted greedily from the left; the
-    returned factorization is re-verified by matrix products before being
-    returned, including the absorption identities in both directions and
-    the block-size bookkeeping.
+    returned factorization is re-verified by word evaluation on the root
+    tables before being returned, including the absorption identities in
+    both directions and the block-size bookkeeping.
     """
     check_generator(s, j)
     m = len(w.letters)
     if m < 1:
         raise ValueError("word must have at least one letter")
-    g = element_of_word(s, w)
-    if length(s, g) != m:
+    a = w.base
+    path, cols = _word_columns(s, w.letters, a)
+    tables = s.root_tables
+    target = path[0]
+    if len(_stripped_letters(s, a, target, cols)) != m:
         raise ValueError("word is not reduced")
-    image = mat_col(g.matrix, j)
-    simple_index = next((k for k in range(s.rank) if image == basis_vector(s.rank, k)), None)
+    simple_index = next((k for k in range(s.rank) if cols[j] == tables.simple[target][k]), None)
     if simple_index is None:
         raise ValueError(
             "weak exchange hypothesis fails: the word does not send the chosen "
             "simple root to a simple root at its target"
         )
 
-    a = w.base
-    js: list[int] = []
-    ks: list[int] = []
-    anchors: list[int] = []
-    block_sizes: list[int] = []
+    js, ks, anchors, block_sizes = [], [], [], []
 
-    tail, tail_target = w, g.target
+    # the tail's letters (a reduced word based at a), target and columns
+    tail, tail_target, tail_cols = w.letters, target, cols
     k_current = simple_index
-    while tail.letters:
-        jt = tail.letters[0]
+    while tail:
+        jt = tail[0]
         if jt == k_current:
             raise RuntimeError("block letters coincide; factorization is invalid")
-        d = rank_two_count(s, jt, k_current, tail_target)
+        d = s.rank_two_counts[jt][k_current][tail_target]
         if not isinstance(d, int):
             raise RuntimeError("rank-two count is infinite; factorization is invalid")
-        blk_letters = _alternating(jt, k_current, d - 1)
         # the block's inverse followed by the tail; it ends at the block's base
-        rest = element_of_word(s, Word(tail.base, blk_letters[::-1] + tail.letters))
-        if length(s, rest) != len(tail.letters) - (d - 1):
+        for i in _alternating(jt, k_current, d - 1):
+            tail_cols = tuple(map(tables.sigma[i][tail_target].__getitem__, tail_cols))
+            tail_target = s.action[i][tail_target]
+        rest = _stripped_letters(s, a, tail_target, tail_cols)
+        if len(rest) != len(tail) - (d - 1):
             raise RuntimeError("block stripping did not shorten as required")
         js.append(jt)
         ks.append(k_current)
-        anchors.append(rest.target)
+        anchors.append(tail_target)
         block_sizes.append(d)
         k_next = jt if d % 2 == 1 else k_current
-        tail, tail_target = canonical_reduced_word(s, rest), rest.target
         # invariant: the tail still sends the j-th simple root of the base
         # to the simple root k_next at its own target
-        if mat_col(rest.matrix, j) != basis_vector(s.rank, k_next):
+        if tail_cols[j] != tables.simple[tail_target][k_next]:
             raise RuntimeError("exchange invariant broken while stripping blocks")
+        tail = rest
         k_current = k_next
 
     if k_current != j:
@@ -314,25 +318,23 @@ def weak_exchange_factor(
     if js[0] != w.letters[0] or ks[0] != simple_index:
         raise RuntimeError("leading block does not start the word")
 
-    # full re-verification by matrix products
-    blocks = [c_element(s, js[t], ks[t], anchors[t]) for t in range(r)]
-    if _product_of_blocks(s, blocks) != g:
+    # full re-verification, each side evaluated as one word; blocks start at a
+    _, block_path, block_cols = _block_word(s, js, ks, anchors)
+    if (block_path[0], block_cols) != (target, cols):
         raise RuntimeError("block product does not reproduce the element")
-    shifted = [
-        c_element(s, js[t], ks[t], act(s, ks[t + 1], anchors[t])) for t in range(r)
-    ]
-    shifted_prod = _product_of_blocks(s, shifted)
-    # absorption: (blocks) s_{j, j|>a} = s_{k1} (shifted blocks)
-    lhs1 = compose(g, generator_element(s, j, act(s, j, a)))
-    rhs1 = compose(
-        generator_element(s, simple_index, shifted_prod.target), shifted_prod
-    )
-    if lhs1.is_zero or lhs1 != rhs1:
+    shifted = [s.action[ks[t + 1]][anchors[t]] for t in range(r)]
+    shifted_letters, shifted_path, _ = _block_word(s, js, ks, shifted)
+    b = s.action[j][a]
+    # absorption: (blocks) s_{j, j|>a} = s_{k1} (shifted blocks); the left
+    # side is zero unless j |> b is a, and it starts at b
+    path1, cols1 = _word_columns(s, w.letters + (j,), b)
+    path2, cols2 = _word_columns(s, (simple_index,) + shifted_letters, shifted_path[-1])
+    if s.action[j][b] != a or shifted_path[-1] != b or (path1[0], cols1) != (path2[0], cols2):
         raise RuntimeError("absorption identity fails on the shifted blocks")
-    # and back: (shifted blocks) s_{j, a} = s_{k1} (blocks)
-    lhs2 = compose(shifted_prod, generator_element(s, j, a))
-    rhs2 = compose(generator_element(s, simple_index, g.target), g)
-    if lhs2.is_zero or lhs2 != rhs2:
+    # and back: (shifted blocks) s_{j, a} = s_{k1} (blocks), both from a
+    path1, cols1 = _word_columns(s, shifted_letters + (j,), a)
+    path2, cols2 = _word_columns(s, (simple_index,) + w.letters, a)
+    if (path1[0], cols1) != (path2[0], cols2):
         raise RuntimeError("reverse absorption identity fails")
 
     return WeakExchangeFactorization(r, tuple(js), tuple(ks), tuple(anchors))
