@@ -70,6 +70,13 @@ def _format_word(s: RootGroupoidScheme, w: Word) -> str:
     return letters if letters else "(empty)"
 
 
+def _positive_int(text: str) -> int:
+    """The argparse type of --cutoff: an integer of at least 1."""
+    if not text.strip().isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer of at least 1, got {text!r}")
+    return int(text)
+
+
 def _parse_matrix_file(text: str) -> tuple[tuple[int, ...], ...]:
     rows = []
     for lineno, line in enumerate(text.splitlines(), start=1):
@@ -272,7 +279,7 @@ def _build_parser() -> argparse.ArgumentParser:
         for key in ("word", "word2")[:words]:
             p.add_argument(f"--{key}", required=True, metavar="'i1 i2 ...'")
         if cutoff:
-            p.add_argument("--cutoff", type=int, default=30, metavar="N")
+            p.add_argument("--cutoff", type=_positive_int, default=30, metavar="N")
         p.add_argument("--machine", action="store_true",
                        help="stable line-oriented output")
         p.set_defaults(func=func)
@@ -298,7 +305,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("from-bichar", help="build a scheme from bicharacter exponents")
     p.add_argument("--matrix", required=True, metavar="FILE")
     p.add_argument("--order", required=True, metavar="N|generic")
-    p.add_argument("--cutoff", type=int, default=1000, metavar="N",
+    p.add_argument("--cutoff", type=_positive_int, default=1000, metavar="N",
                    help="maximum number of objects to discover")
     p.add_argument("--machine", action="store_true")
     p.set_defaults(func=cmd_from_bichar)

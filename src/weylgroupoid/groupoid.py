@@ -27,7 +27,6 @@ from .scheme import (
     InconsistentSchemeError,
     RootGroupoidScheme,
     RootTables,
-    _require_finite_roots,
     act,
     act_word,
     check_generator,
@@ -168,12 +167,13 @@ def is_descent(s: RootGroupoidScheme, g: GroupoidElement, j: int) -> bool:
     """Whether appending the j-th generator on the right shortens g.
 
     True exactly when g sends the j-th simple root of its source to a
-    negative root of its target.
+    negative root of its target.  Raises as root_tables does (ValueError,
+    InconsistentSchemeError) unless the roots are finite and consistent.
     """
     if g.is_zero:
         raise ValueError("the zero element has no descents")
     check_generator(s, j)
-    _require_finite_roots(s)
+    s.root_tables  # raises unless the roots are finite and consistent
     return all(row[j] <= 0 for row in g.matrix)
 
 
@@ -333,7 +333,7 @@ def c_element(s: RootGroupoidScheme, i: int, j: int, a: int) -> Word:
     odd and i when m is even.  Composing the i-th generator on the left
     equals composing the shifted word with a single generator on the
     right, which is the commutation rule used by the weak exchange
-    factorization.
+    factorization.  Raises as rank_two_count does (InconsistentSchemeError too).
     """
     m = rank_two_count(s, i, j, a)
     if not isinstance(m, int):

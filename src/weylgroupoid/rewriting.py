@@ -58,20 +58,23 @@ class MoveChain:
 def _segments(s: RootGroupoidScheme, letters: tuple[int, ...], base: int, positions=None) -> list:
     """The braid moves of a word as (position, first, second, m, anchor) tuples,
     at every position or only at those given.  On finite data m is read
-    from the rank-two table, elsewhere from rank_two_count; either asks for
-    root data at the first pair of distinct letters.  A segment qualifies
-    when its m letters repeat with period two.
+    from the rank-two table after root_tables, elsewhere from rank_two_count;
+    either asks for root data at the first pair of distinct letters.  A
+    segment qualifies when its m letters repeat with period two.
     """
     path = word_path(s, letters, base)
     n = len(letters)
-    finite = s.status == FINITE
+    counts = None  # the rank-two table, once root_tables has passed
     found = []
     for p in range(n - 1) if positions is None else positions:
         x, y = letters[p], letters[p + 1]
         if x == y:
             continue
-        if finite:
-            m = s.rank_two_counts[x][y][path[p + 1]]
+        if counts is None and s.status == FINITE:
+            s.root_tables  # raises unless the roots are finite and consistent
+            counts = s.rank_two_counts
+        if counts is not None:
+            m = counts[x][y][path[p + 1]]
         else:
             m = rank_two_count(s, x, y, path[p + 1])
             if not isinstance(m, int):
@@ -94,6 +97,7 @@ def applicable_moves(s: RootGroupoidScheme, w: Word) -> list[BraidMove]:
     and its length equals the (finite) rank-two count of the pair at the
     object its leftmost letter acts from; on data that passes axiom 5 it
     is the count at the move's anchor, where its rightmost letter acts.
+    Raises as root_tables does (InconsistentSchemeError) on finite roots.
     """
     return [BraidMove(*seg) for seg in _segments(s, w.letters, w.base)]
 
@@ -102,9 +106,10 @@ def apply_move(s: RootGroupoidScheme, w: Word, mv: BraidMove) -> Word:
     """Replace the segment by the opposite alternation.
 
     Raises ValueError unless mv is one of applicable_moves(s, w); only the
-    move's own position is examined.  The result has the same base,
-    length, and evaluation.  Applying the induced move at the same
-    position again restores the original word.
+    move's own position is examined (InconsistentSchemeError as in
+    applicable_moves).  The result has the same base, length, and
+    evaluation.  Applying the induced move at the same position again
+    restores the original word.
     """
     p = mv.position
     at = [p] if p in range(len(w.letters) - 1) else []

@@ -9,38 +9,24 @@ mistaken for a complete system.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, replace
 from typing import Sequence
 
-from .intmat import (
-    Vector,
-    basis_vector,
-    height,
-    identity_matrix,
-    is_nonneg,
-    is_nonpos,
-    mat_col,
-    neg,
-    reflect_columns,
-    reflect_vector,
-)
+from .intmat import Vector, basis_vector, height, is_nonneg, neg, reflect_vector
 from .scheme import (
     FINITE,
     GENERATED,
     TRUNCATED,
     RootGroupoidScheme,
-    _require_finite_roots,
     _require_roots,
     check_generator,
     check_object,
     word_path,
 )
 
-# Not called here since reflections are applied by the intmat kernels,
-# but kept bound in this module: the benchmark's tracer (bench/tracing.py)
-# counts calls through roots.mat_mul, roots.mat_vec and
+# Not called here, but kept bound in this module: the benchmark's tracer
+# (bench/tracing.py) counts calls through roots.mat_mul, roots.mat_vec and
 # roots.reflection_matrix.
 from .intmat import mat_mul, mat_vec  # noqa: E402,F401
 from .scheme import reflection_matrix  # noqa: E402,F401
@@ -108,6 +94,8 @@ def _require_two_generators(s: RootGroupoidScheme, i: int, j: int, a: int) -> No
     if i == j:
         raise ValueError("rank-two data requires two distinct generators")
     _require_roots(s)
+    if s.status == FINITE:
+        s.root_tables  # raises unless the roots are consistent
 
 
 def _max_height(s: RootGroupoidScheme) -> int:
@@ -119,34 +107,37 @@ def _closing_chain(
 ) -> tuple[list[Vector], Vector | None]:
     """Walk the rank-two chain at a until it reaches the j-th simple root.
 
-    Root m of the chain, in a-coordinates, is the image of the next simple
-    root of the zigzag i, j, i, ... under its first m reflections anchored
-    at a; in a finite rank-two cone the walk produces exactly the cone and
-    reaches the j-th simple root last.  Returns the distinct roots walked
-    and the root that stopped the walk early, None when the chain closed.
-    The walk stops early at a root of height above bound or at a root it
-    has already walked.
+    Root m is the image, in a-coordinates, of the next simple root of the
+    zigzag i, j, i, ... under its first m reflections anchored at a; by the
+    rank-two recurrence (Cuntz-Heckenberger) it is c * root m-1 - root m-2,
+    from -alpha_j and alpha_i, with c = coefficients[x][x |> obj][y] for
+    the letter x just applied.  A finite cone is walked exactly, ending at
+    alpha_j.  Returns the distinct roots walked and the root that stopped
+    the walk early (None when the chain closed): one of height above bound
+    or one already walked.
     """
     last = basis_vector(s.rank, j)
     chain: list[Vector] = []
-    transform = identity_matrix(s.rank)
-    obj = a
-    for letter in itertools.cycle((i, j)):
-        root = mat_col(transform, letter)
+    prev, root = neg(last), basis_vector(s.rank, i)
+    x, y, obj = i, j, a
+    while True:
         if height(root) > bound or root in chain:
             return chain, root
         chain.append(root)
         if root == last:
             return chain, None
-        obj = s.action[letter][obj]
-        transform = reflect_columns(transform, letter, s.coefficients[letter][obj])
+        obj = s.action[x][obj]
+        c = s.coefficients[x][obj][y]
+        prev, root = root, tuple(c * u - v for u, v in zip(root, prev))
+        x, y = y, x
 
 
 def rank_two_count(s: RootGroupoidScheme, i: int, j: int, a: int) -> int | float:
     """Number of positive roots of an object supported on two generators.
 
     For finite schemes this is a lookup in the scheme's rank-two table,
-    which is computed once per scheme (RootGroupoidScheme.rank_two_counts).
+    which is computed once per scheme (RootGroupoidScheme.rank_two_counts),
+    read once root_tables has passed (InconsistentSchemeError otherwise).
     For truncated schemes the alternating chain is walked instead, and
     ``math.inf`` is returned when the chain escapes the generation cutoff
     before closing.
@@ -168,12 +159,11 @@ def rank_two_positive_chain(s: RootGroupoidScheme, i: int, j: int, a: int) -> tu
 
     Starts at the i-th simple root and ends at the j-th; the chain length
     equals the rank-two count.  Raises if the rank-two component does not
-    close (infinite, or beyond the generation cutoff).
+    close (infinite, or beyond the generation cutoff); on finite roots, as
+    root_tables does (InconsistentSchemeError on inconsistent ones).
     """
     _require_two_generators(s, i, j, a)
-    bound = _max_height(s)
-    if s.cutoff is not None:
-        bound = max(bound, s.cutoff)
+    bound = max(_max_height(s), s.cutoff or 0)
     chain, stop = _closing_chain(s, i, j, a, bound)
     if stop is not None:
         raise ValueError("rank-two component at this object is infinite or truncated")
@@ -200,20 +190,18 @@ class InversionSet:
 
 
 def inversion_set(s: RootGroupoidScheme, letters: Sequence[int], a: int) -> InversionSet:
-    """Positive roots of object a sent to negative roots by the word."""
+    """Positive roots of object a sent to negative roots by the word, by index
+    lookups in root_tables (ValueError or InconsistentSchemeError as it raises)."""
     path = word_path(s, letters, a)
-    _require_finite_roots(s)
-    # (letter, coefficients, 1-based position) of the word's reflections, rightmost first
-    steps = [
-        (letters[k], s.coefficients[letters[k]][path[k + 1]], k + 1)
-        for k in range(len(letters) - 1, -1, -1)
-    ]
+    tables = s.root_tables
+    # (reflection on indices, 1-based position) of the word's letters, rightmost first
+    steps = [(tables.sigma[i][b], k) for k, (i, b) in enumerate(zip(letters, path[1:]), 1)][::-1]
     entries = []
-    for beta in s.positive_roots[a]:
-        v, start = beta, None  # start: the letter that began the current negative run
-        for letter, coeffs, position in steps:
-            v = reflect_vector(letter, coeffs, v)
-            if not is_nonpos(v):
+    for k, beta in enumerate(s.positive_roots[a]):
+        start = None  # the letter that began the current negative run
+        for sigma, position in steps:
+            k = sigma[k]
+            if k >= 0:
                 start = None
             elif start is None:
                 start = position

@@ -135,13 +135,16 @@ class RootGroupoidScheme:
     def root_tables(self) -> RootTables:
         """The scheme's root-index tables, built on first use.
 
+        The one gate that every read of finite root data passes first.
         Needs finite roots (ValueError otherwise) that pass axioms 2, 3 and
         5, on which the index representation relies; otherwise raises
         InconsistentSchemeError with the first failing axiom's witness.
         Kept on the instance like rank_two_counts, so equality, hashing and
         replace() ignore it.
         """
-        _require_finite_roots(self)
+        _require_roots(self)
+        if self.status != FINITE:
+            raise ValueError("operation requires finite root data, scheme is truncated")
         for axiom, check in ((2, _axiom2), (3, _axiom3)):
             witness = next(check(self), None)
             if witness is not None:
@@ -208,12 +211,6 @@ def _build_root_tables(s: RootGroupoidScheme) -> RootTables | None:
 def _require_roots(s: RootGroupoidScheme) -> None:
     if s.positive_roots is None:
         raise ValueError("root sets are not materialized")
-
-
-def _require_finite_roots(s: RootGroupoidScheme) -> None:
-    _require_roots(s)
-    if s.status != FINITE:
-        raise ValueError("operation requires finite root data, scheme is truncated")
 
 
 def check_generator(s: RootGroupoidScheme, i: int) -> None:

@@ -260,6 +260,41 @@ def test_from_bichar_bad_order(tmp_path, capsys):
     assert code == 2
 
 
+CUTOFF_COMMANDS = {
+    "validate": (),
+    "roots": (),
+    "reduce": ("--base", "a", "--word", "1 2"),
+    "braid": ("--base", "a", "--word", "1 2 1", "--word2", "2 1 2"),
+    "longest": ("--base", "a"),
+    "enumerate": (),
+}
+
+
+@pytest.mark.parametrize("cutoff", ["0", "-3"])
+@pytest.mark.parametrize("kind", ["generated", "prescribed"])
+@pytest.mark.parametrize("command", sorted(CUTOFF_COMMANDS))
+def test_cutoff_below_one_is_a_usage_error(scheme_file, tmp_path, capsys, command, kind, cutoff):
+    # a generated file used to exit 1 from generate_roots; a prescribed one
+    # ignored the cutoff and exited 0
+    path = scheme_file
+    if kind == "generated":
+        path = tmp_path / "a2.json"
+        path.write_text(wg.save_scheme(wg.from_cartan(((2, -1), (-1, 2)))), encoding="utf-8")
+    code = main([command, "--scheme", str(path), *CUTOFF_COMMANDS[command], "--cutoff", cutoff])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == "" and "--cutoff" in captured.err
+
+
+@pytest.mark.parametrize("cutoff", ["0", "-3"])
+def test_from_bichar_cutoff_below_one_is_a_usage_error(tmp_path, capsys, cutoff):
+    matrix = tmp_path / "a2.txt"
+    matrix.write_text("2 -1\n-1 2\n", encoding="utf-8")
+    code, out = run(capsys, "from-bichar", "--matrix", str(matrix), "--order", "generic",
+                    "--cutoff", cutoff)
+    assert code == 2 and out == ""
+
+
 def test_example_round_trips(capsys):
     code, out = run(capsys, "example")
     assert code == 0

@@ -226,3 +226,57 @@ def test_root_tables_refuse_inconsistent_roots(affine_file):
         message = re.escape(f"axiom {axiom} FAIL ({witness})")
         with pytest.raises(wg.InconsistentSchemeError, match=message):
             wg.length(s, g)
+
+
+GATED = {
+    "inversion_set": lambda s: wg.inversion_set(s, (0, 1, 0, 1), 0),
+    "is_descent": lambda s: wg.is_descent(s, wg.element_of_word(s, wg.Word(0, (0, 1, 0, 1))), 0),
+    "rank_two_count": lambda s: wg.rank_two_count(s, 0, 1, 0),
+    "rank_two_positive_chain": lambda s: wg.rank_two_positive_chain(s, 0, 1, 0),
+    "c_element": lambda s: wg.c_element(s, 0, 1, 0),
+    "applicable_moves": lambda s: wg.applicable_moves(s, wg.Word(0, (0, 1, 0, 1))),
+    "apply_move": lambda s: wg.apply_move(s, wg.Word(0, (0, 1, 0, 1)), wg.BraidMove(0, 0, 1, 4, 0)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GATED))
+def test_finite_root_reads_ask_the_root_tables(affine_file, name):
+    # on the affine file rank_two_count used to return 2 and inversion_set
+    # to give the reduced word 1 2 1 2 one inversion
+    for axiom, s in _inconsistent_schemes(affine_file.read_text(encoding="utf-8")):
+        witness = wg.validate(s).result(axiom).witness
+        message = re.escape(f"axiom {axiom} FAIL ({witness})")
+        with pytest.raises(wg.InconsistentSchemeError, match=message):
+            GATED[name](s)
+
+
+def _dense_inversion_set(s, letters, a):
+    """(position, root) pairs: each positive root of a is pushed through the
+    products of the word's last 1, 2, ... letters; its position is the
+    letter whose product began the run of nonpositive images that lasts to
+    the full word."""
+    products, matrix, obj = [], identity_matrix(s.rank), a
+    for k in range(len(letters) - 1, -1, -1):
+        matrix = mat_mul(reflection_matrix(s, letters[k], obj), matrix)
+        obj = s.action[letters[k]][obj]
+        products.append((k + 1, matrix))
+    entries = []
+    for beta in s.positive_roots[a]:
+        start = None
+        for position, matrix in products:
+            if not is_nonpos(mat_vec(matrix, beta)):
+                start = None
+            elif start is None:
+                start = position
+        if start is not None:
+            entries.append((start, beta))
+    return sorted(entries)
+
+
+@PROPERTY
+@given(_scheme_word())
+def test_inversion_set_equals_dense_products(case):
+    s, w = case
+    assert wg.inversion_set(s, w.letters, w.base).entries == tuple(
+        _dense_inversion_set(s, w.letters, w.base)
+    )

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 
@@ -7,7 +8,16 @@ from hypothesis import strategies as st
 
 import weylgroupoid as wg
 from weylgroupoid import Word
-from weylgroupoid.intmat import basis_vector, height, is_nonneg, mat_vec, neg
+from weylgroupoid.intmat import (
+    basis_vector,
+    height,
+    identity_matrix,
+    is_nonneg,
+    mat_mul,
+    mat_vec,
+    neg,
+)
+from weylgroupoid.roots import _closing_chain
 from weylgroupoid.scheme import reflection_matrix
 
 A, B, C, D, E = range(5)
@@ -253,6 +263,54 @@ def test_rank_two_chain_rejects_infinite():
     aff = wg.generate_roots(wg.from_cartan(((2, -2), (-2, 2))), 10)
     with pytest.raises(ValueError):
         wg.rank_two_positive_chain(aff, 0, 1, 0)
+
+
+def _dense_chain(s, i, j, a, bound):
+    """The rank-two chain walked by dense products: root m is column x_m of
+    the product of the first m reflections of the zigzag i, j, i, ... at a.
+    Returns the roots walked and the one that stopped the walk, as
+    roots._closing_chain does."""
+    transform, obj, chain = identity_matrix(s.rank), a, []
+    for letter in itertools.cycle((i, j)):
+        root = tuple(row[letter] for row in transform)
+        if height(root) > bound or root in chain:
+            return chain, root
+        chain.append(root)
+        if root == s.simple_root(j):
+            return chain, None
+        obj = s.action[letter][obj]
+        transform = mat_mul(transform, reflection_matrix(s, letter, obj))
+
+
+CHAIN_SCHEMES = {
+    "example": wg.rank3_example(),
+    "B3": wg.generate_roots(wg.from_cartan(((2, -1, 0), (-1, 2, -1), (0, -2, 2))), 30),
+    "G2": wg.generate_roots(wg.from_cartan(((2, -1), (-3, 2))), 30),
+    "BI3": wg.generate_roots(wg.from_bicharacter(((3, 2, 0), (0, 3, 2), (0, 0, 3)), 12, 6), 30),
+    # rank two, five objects: the reflection coefficients change along the chain
+    "BI2": wg.generate_roots(wg.from_bicharacter(((1, 9), (0, 6)), 12, 12), 30),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CHAIN_SCHEMES))
+def test_rank_two_chain_recurrence_equals_dense_walk(name):
+    s = CHAIN_SCHEMES[name]
+    bound = max(height(r) for pos in s.positive_roots for r in pos)
+    for i, j in itertools.permutations(range(s.rank), 2):
+        for a in range(s.n_objects):
+            chain, stop = _dense_chain(s, i, j, a, bound)
+            assert stop is None
+            assert wg.rank_two_positive_chain(s, i, j, a) == tuple(chain)
+            assert wg.rank_two_count(s, i, j, a) == len(chain)
+
+
+def test_rank_two_chain_recurrence_escapes_truncated_affine():
+    aff = wg.generate_roots(wg.from_cartan(((2, -2), (-2, 2))), 10)
+    for i, j in ((0, 1), (1, 0)):
+        chain, stop = _dense_chain(aff, i, j, 0, aff.cutoff)
+        assert height(stop) > aff.cutoff
+        assert _closing_chain(aff, i, j, 0, aff.cutoff) == (chain, stop)
+        assert wg.rank_two_count(aff, i, j, 0) == math.inf
 
 
 # ---------------------------------------------------------------------------
