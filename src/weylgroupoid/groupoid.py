@@ -108,7 +108,7 @@ def element_of_word(s: RootGroupoidScheme, w: Word) -> GroupoidElement:
 
     With root tables, the simple roots of the base are carried through
     the letters, rightmost first, by index lookups.  Without them
-    (roots missing or truncated, or breaking axiom 2, 3 or 5) each
+    (roots missing or truncated, or breaking axiom 2, 3, 4 or 5) each
     letter's matrix multiplies on the right, leftmost letter first.
     Either way the result is never zero, and root data raises nothing.
     """
@@ -151,10 +151,11 @@ def inverse(g: GroupoidElement) -> GroupoidElement:
 def length(s: RootGroupoidScheme, g: GroupoidElement):
     """Number of positive source roots sent negative; MINUS_INFINITY for zero.
 
-    Equals the minimal number of generators in any word evaluating to g.
-    Roots are sign coherent, so g sends beta to a negative root exactly
-    when h.beta < 0, where h holds the heights of g's columns.  Raises as
-    root_tables does on roots that are missing, truncated or inconsistent.
+    Equals the minimal number of generators in any word evaluating to g,
+    which needs the roots to pass axioms 2, 3, 4 and 5.  Roots are sign
+    coherent, so g sends beta to a negative root exactly when h.beta < 0,
+    where h holds the heights of g's columns.  Raises as root_tables does
+    on roots that are missing, truncated or inconsistent.
     """
     if g.is_zero:
         return MINUS_INFINITY
@@ -209,9 +210,9 @@ def _greedy_walk(s: RootGroupoidScheme, source: int, target: int, cols, descents
     roots.  Returns the letters, the source and columns reached, and the
     next letter (None if none).
     """
-    # A loop guard only: under axioms 2, 3 and 5, which the tables need,
-    # each step changes the length by at least one, so the walk stops by
-    # itself within this many letters.
+    # A loop guard only: under axioms 2, 3, 4 and 5, which the tables
+    # need, each step changes the length by exactly one, so the walk stops
+    # by itself within this many letters.
     bound = len(s.positive_roots[source])
     tables = s.root_tables
     letters = []

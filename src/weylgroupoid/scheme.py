@@ -136,16 +136,16 @@ class RootGroupoidScheme:
         """The scheme's root-index tables, built on first use.
 
         The one gate that every read of finite root data passes first.
-        Needs finite roots (ValueError otherwise) that pass axioms 2, 3 and
-        5, on which the index representation relies; otherwise raises
-        InconsistentSchemeError with the first failing axiom's witness.
-        Kept on the instance like rank_two_counts, so equality, hashing and
-        replace() ignore it.
+        Needs finite roots (ValueError otherwise) that pass axioms 2, 3, 4
+        and 5, on which the index representation and lengths rely;
+        otherwise raises InconsistentSchemeError with the first failing
+        axiom's witness.  Kept on the instance like rank_two_counts, so
+        equality, hashing and replace() ignore it.
         """
         _require_roots(self)
         if self.status != FINITE:
             raise ValueError("operation requires finite root data, scheme is truncated")
-        for axiom, check in ((2, _axiom2), (3, _axiom3)):
+        for axiom, check in ((2, _axiom2), (3, _axiom3), (4, _axiom4)):
             witness = next(check(self), None)
             if witness is not None:
                 raise InconsistentSchemeError(f"axiom {axiom} FAIL ({witness})")

@@ -165,6 +165,40 @@ def test_braid_on_invalid_scheme_names_axiom(affine_file):
     assert p.stdout.startswith("axiom 5 FAIL (generator 1 at object a")
 
 
+def test_roots_on_invalid_scheme_names_axiom(affine_file):
+    # roots used to print "status finite" and the two simple roots, exit 0
+    p = run_subprocess("roots", "--scheme", str(affine_file), "--machine")
+    assert p.returncode == 1
+    assert p.stdout.startswith("axiom 5 FAIL (generator 1 at object a")
+
+
+def test_roots_on_truncated_scheme_prints_its_status(tmp_path, capsys):
+    path = tmp_path / "affine.json"
+    path.write_text(wg.save_scheme(wg.from_cartan(((2, -2), (-2, 2)))), encoding="utf-8")
+    code, out = run(capsys, "roots", "--scheme", str(path), "--cutoff", "5", "--machine")
+    assert code == 0
+    assert out.splitlines()[0] == "status truncated"
+
+
+@pytest.mark.parametrize("argv", [
+    ("enumerate",),
+    ("roots",),
+    ("reduce", "--base", "a", "--word", "1"),
+])
+def test_axiom_4_failure_is_named(tmp_path, argv):
+    # BC2: B2 with the roots (0,2) and (2,2); fails axiom 4 only.  enumerate
+    # used to print lengths 0-6 and reduce "length 1", both with exit 0
+    path = tmp_path / "bc2.json"
+    path.write_text(json.dumps({
+        "rank": 2, "objects": ["a"], "action": [[0], [0]],
+        "coefficients": [[[-1, 1]], [[2, -1]]], "mode": "prescribed",
+        "roots": [[[0, 1], [0, 2], [1, 0], [1, 1], [1, 2], [2, 2]]],
+    }), encoding="utf-8")
+    p = run_subprocess(argv[0], "--scheme", str(path), *argv[1:], "--machine")
+    assert p.returncode == 1
+    assert p.stdout == "axiom 4 FAIL (object a, root (0,2) is a multiple of simple root 2)\n"
+
+
 def test_longest_cross_checks_its_length(tmp_path):
     # on root data that fails axiom 4 the longest element's length (1) and
     # its canonical word (2 1) disagree; longest used to print both, exit 0

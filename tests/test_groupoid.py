@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import random
 import re
@@ -198,6 +199,47 @@ def test_length_refuses_inconsistent_roots(affine_file):
     g = wg.element_of_word(aff, Word(A, (0, 1, 0, 1)))
     with pytest.raises(wg.InconsistentSchemeError, match=AFFINE_AXIOM_5):
         wg.length(aff, g)
+
+
+def _fails_axiom_4_only(b2):
+    """BC2 (B2 with the roots (0,2) and (2,2) added) and rank 1 with the
+    roots (1) and (2); each fails axiom 4 and no other."""
+    bc2 = dataclasses.replace(b2, positive_roots=(b2.positive_roots[0] + ((0, 2), (2, 2)),))
+    yield bc2, "object a, root (0,2) is a multiple of simple root 2"
+    yield wg.load_scheme(
+        '{"rank": 1, "objects": ["a"], "action": [[0]],'
+        ' "coefficients": [[[-1]]], "mode": "prescribed", "roots": [[[1], [2]]]}'
+    ), "object a, root (2) is a multiple of simple root 1"
+
+
+@pytest.mark.parametrize("call", [
+    lambda s: wg.length(s, wg.element_of_word(s, Word(A, (s.rank - 1,)))),
+    lambda s: wg.longest_element(s, A),
+    wg.enumerate_elements,
+], ids=["length", "longest_element", "enumerate_elements"])
+def test_lengths_refuse_axiom_4_failures(b2, call):
+    # on BC2 the one-letter word 2 used to get length 2 and the longest
+    # element length 6
+    for s, witness in _fails_axiom_4_only(b2):
+        assert [r.axiom for r in wg.validate(s).results if not r.passed] == [4]
+        with pytest.raises(wg.InconsistentSchemeError, match=re.escape(f"axiom 4 FAIL ({witness})")):
+            call(s)
+
+
+@pytest.mark.parametrize("make", [
+    wg.rank3_example,
+    lambda: wg.generate_roots(wg.from_cartan(((2, -1, 0), (-1, 2, -1), (0, -2, 2))), 30),
+    lambda: wg.generate_roots(wg.from_cartan(((2, -1), (-3, 2))), 30),
+    lambda: wg.generate_roots(wg.from_bicharacter(((3, 2, 0), (0, 3, 2), (0, 0, 3)), 12, 6), 30),
+], ids=["example", "B3", "G2", "BI3"])
+def test_canonical_word_of_every_element_has_its_length(make):
+    # every stripped descent lowers the length by exactly one, so the
+    # canonical word has length(g) letters
+    s = make()
+    for g in wg.enumerate_elements(s):
+        w = wg.canonical_reduced_word(s, g)
+        assert len(w) == wg.length(s, g)
+        assert wg.element_of_word(s, w) == g
 
 
 # ---------------------------------------------------------------------------

@@ -213,6 +213,8 @@ def _inconsistent_schemes(affine_text):
     ex = SCHEMES["example"]
     yield 2, _with_roots(ex, 0, [r for r in ex.positive_roots[0] if r != (0, 1, 0)])
     yield 3, _with_roots(ex, 0, ex.positive_roots[0] + ((1, -1, 0),))
+    b2 = wg.generate_roots(wg.from_cartan(((2, -1), (-2, 2))), 20)
+    yield 4, _with_roots(b2, 0, b2.positive_roots[0] + ((0, 2), (2, 2)))
     yield 5, wg.load_scheme(affine_text)
 
 
