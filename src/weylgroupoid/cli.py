@@ -292,17 +292,15 @@ def _build_parser() -> argparse.ArgumentParser:
         base=True, cutoff=True)
     add("enumerate", cmd_enumerate, "list all groupoid elements",
         base=True, base_optional=True, cutoff=True)
-    p = sub.add_parser("from-cartan", help="build a scheme from a Cartan matrix")
+    p = add("from-cartan", cmd_from_cartan, "build a scheme from a Cartan matrix",
+            needs_scheme=False)
     p.add_argument("--matrix", required=True, metavar="FILE")
-    p.add_argument("--machine", action="store_true")
-    p.set_defaults(func=cmd_from_cartan)
-    p = sub.add_parser("from-bichar", help="build a scheme from bicharacter exponents")
+    p = add("from-bichar", cmd_from_bichar, "build a scheme from bicharacter exponents",
+            needs_scheme=False)
     p.add_argument("--matrix", required=True, metavar="FILE")
     p.add_argument("--order", required=True, metavar="N|generic")
     p.add_argument("--cutoff", type=_positive_int, default=1000, metavar="N",
                    help="maximum number of objects to discover")
-    p.add_argument("--machine", action="store_true")
-    p.set_defaults(func=cmd_from_bichar)
     add("export-dot", cmd_export_dot, "object graph in DOT format")
     add("example", cmd_example, "print the bundled five-object example scheme",
         needs_scheme=False)

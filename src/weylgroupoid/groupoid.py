@@ -228,9 +228,10 @@ def canonical_reduced_word(s: RootGroupoidScheme, g: GroupoidElement) -> Word:
     """Reduced word for g obtained by stripping smallest right descents.
 
     Deterministic; the result has length(g) letters and evaluates back to
-    g.  If stripping finds no descent, or has not reached the identity
-    after as many letters as the source has positive roots,
-    InconsistentSchemeError is raised.
+    g.  If stripping finds no descent, has not reached the identity after
+    as many letters as the source has positive roots, or ends at an
+    identity matrix between distinct objects, InconsistentSchemeError is
+    raised.
     """
     if g.is_zero:
         raise ValueError("the zero element has no reduced word")
@@ -257,7 +258,9 @@ def _stripped_letters(s: RootGroupoidScheme, source: int, target: int, cols) -> 
             f"{len(s.positive_roots[source])} letters; scheme data is inconsistent"
         )
     if reached != target:
-        raise ValueError("identity matrix between distinct objects; scheme data is inconsistent")
+        raise InconsistentSchemeError(
+            "identity matrix between distinct objects; scheme data is inconsistent"
+        )
     return tuple(reversed(letters))
 
 
@@ -344,4 +347,4 @@ def c_element(s: RootGroupoidScheme, i: int, j: int, a: int) -> Word:
 
 def _alternating(x: int, y: int, n: int) -> tuple[int, ...]:
     """The n letters x, y, x, ... that alternate starting with x."""
-    return tuple(y if t % 2 else x for t in range(n))
+    return ((x, y) * n)[:n]

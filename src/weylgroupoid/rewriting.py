@@ -87,7 +87,7 @@ def _segments(s: RootGroupoidScheme, letters: tuple[int, ...], base: int, positi
 def _swapped(letters: tuple[int, ...], seg) -> tuple[int, ...]:
     """The letters with the segment replaced by the opposite alternation."""
     p, x, y, m, _ = seg
-    return letters[:p] + ((y, x) * m)[:m] + letters[p + m :]
+    return letters[:p] + _alternating(y, x, m) + letters[p + m :]
 
 
 def applicable_moves(s: RootGroupoidScheme, w: Word) -> list[BraidMove]:

@@ -105,31 +105,23 @@ class RootGroupoidScheme:
         """Rank-two table: counts[i][j][a] for generators i, j and object a.
 
         The entry is the number of stored positive roots of object a whose
-        coordinates outside {i, j} are all zero (the zero vector too), so the
-        table is symmetric in i and j and counts[i][i][a] is the number of
-        stored roots supported on i alone.  Built in one pass over the
-        stored roots on first use and kept on the instance, outside the
-        dataclass fields: equality, hashing and replace() ignore it, and a
-        replaced scheme builds its own.
+        support (set of nonzero coordinates) lies in {i, j}, the zero vector
+        too, so the table is symmetric in i and j and counts[i][i][a] is the
+        number of stored roots supported on i alone.  Each root's support is
+        computed once, on first use; the table is kept on the instance,
+        outside the dataclass fields: equality, hashing and replace() ignore
+        it, and a replaced scheme builds its own.
         """
         _require_roots(self)
-        counts = [[[0] * self.n_objects for _ in range(self.rank)] for _ in range(self.rank)]
-        for a, pos in enumerate(self.positive_roots):
-            for r in pos:
-                support = {k for k, x in enumerate(r) if x != 0}
-                if len(support) > 2:
-                    continue
-                # support <= {i, j} exactly when support - {i} is empty
-                # (any j) or is {j}
-                for i in range(self.rank):
-                    rest = support - {i}
-                    if not rest:
-                        for j in range(self.rank):
-                            counts[i][j][a] += 1
-                    elif len(rest) == 1:
-                        (j,) = rest
-                        counts[i][j][a] += 1
-        return tuple(tuple(tuple(row) for row in per_i) for per_i in counts)
+        supports = [
+            [sup for sup in ({k for k, x in enumerate(r) if x} for r in pos) if len(sup) <= 2]
+            for pos in self.positive_roots
+        ]
+        rank = range(self.rank)
+        return tuple(
+            tuple(tuple(sum(map({i, j}.issuperset, per_a)) for per_a in supports) for j in rank)
+            for i in rank
+        )
 
     @cached_property
     def root_tables(self) -> RootTables:
@@ -532,13 +524,15 @@ def _axiom3(s: RootGroupoidScheme) -> Iterator[str]:
 
 def _axiom4(s: RootGroupoidScheme) -> Iterator[str]:
     for a, pos in enumerate(s.positive_roots):
-        for j in range(s.rank):
-            for r in pos:
-                if r[j] not in (0, 1) and all(r[k] == 0 for k in range(s.rank) if k != j):
-                    yield (
-                        f"object {s.objects[a]}, root {_root_label(r)} is a multiple "
-                        f"of simple root {_gen_label(j)}"
-                    )
+        # (j, r) for each root r whose one nonzero coordinate j is not 1, by j
+        # and then in stored order (sorted() is stable)
+        supports = (([k for k, x in enumerate(r) if x], r) for r in pos)
+        multiples = [(sup[0], r) for sup, r in supports if len(sup) == 1 and r[sup[0]] != 1]
+        for j, r in sorted(multiples, key=lambda m: m[0]):
+            yield (
+                f"object {s.objects[a]}, root {_root_label(r)} is a multiple "
+                f"of simple root {_gen_label(j)}"
+            )
 
 
 def _axiom5(s: RootGroupoidScheme) -> Iterator[str]:

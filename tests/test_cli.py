@@ -199,6 +199,24 @@ def test_axiom_4_failure_is_named(tmp_path, argv):
     assert p.stdout == "axiom 4 FAIL (object a, root (0,2) is a multiple of simple root 2)\n"
 
 
+@pytest.mark.parametrize("argv", [
+    ("reduce", "--base", "a", "--word", "1 2 1 2 1 2"),
+    ("braid", "--base", "a", "--word", "1 2 1", "--word2", "2 1 2"),
+])
+def test_identity_between_objects_names_axiom_7(tmp_path, capsys, argv):
+    # A2 at two objects that generator 2 swaps: (1 2)^3 is the identity
+    # matrix from a to b.  Both commands used to print "error: identity
+    # matrix between distinct objects ..." on stderr
+    path = tmp_path / "a2_swapped.json"
+    path.write_text(json.dumps({
+        "rank": 2, "objects": ["a", "b"], "action": [[0, 1], [1, 0]],
+        "coefficients": [[[-1, 1], [-1, 1]], [[1, -1], [1, -1]]], "mode": "generated",
+    }), encoding="utf-8")
+    code, out = run(capsys, argv[0], "--scheme", str(path), *argv[1:], "--machine")
+    assert code == 1
+    assert out == "axiom 7 FAIL (generators 1,2 at object a: theta 2 does not divide count 3)\n"
+
+
 def test_longest_cross_checks_its_length(tmp_path):
     # on root data that fails axiom 4 the longest element's length (1) and
     # its canonical word (2 1) disagree; longest used to print both, exit 0

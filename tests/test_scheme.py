@@ -82,6 +82,65 @@ def test_load_rejects_missing_simple_root(ex5):
         wg.load_scheme(json.dumps(doc))
 
 
+def _set(*path_and_value):
+    """A change to a scheme document: the entry at the path (keys and
+    indices) is set to the value."""
+    *path, last, value = path_and_value
+
+    def change(doc):
+        for key in path:
+            doc = doc[key]
+        doc[last] = value
+    return change
+
+
+def _drop(field):
+    return lambda doc: {key: value for key, value in doc.items() if key != field}
+
+
+@pytest.mark.parametrize("change, message", [
+    (lambda doc: [doc], "top level: expected a JSON object"),
+    (_drop("mode"), "missing field 'mode'"),
+    (_set("rank", "2"), "rank: expected an integer, got '2'"),
+    (_set("rank", True), "rank: expected an integer, got True"),
+    (_set("rank", 0), "rank: must be at least 1"),
+    (_set("objects", []), "objects: expected a nonempty array of strings"),
+    (_set("objects", ["a", 1]), "objects: expected a nonempty array of strings"),
+    (_set("action", 0, [0, 0]), "action[0]: expected 1 entries"),
+    (_set("action", 1, 0, 1), "action[1][0]: object index 1 out of range"),
+    (_set("action", 1, 0, 0.0), "action[1][0]: expected an integer, got 0.0"),
+    (_set("coefficients", [[[-1, 1]]]), "coefficients: expected 2 rows"),
+    (_set("coefficients", 1, []), "coefficients[1]: expected 1 entries"),
+    (_set("coefficients", 0, 0, [-1]), "coefficients[0][0]: expected 2 integers"),
+    (_set("coefficients", 0, 0, 1, "1"), "coefficients[0][0][1]: expected an integer, got '1'"),
+    (_set("coefficients", 1, 0, 1, 0),
+     "coefficients[1][0][1]: unused entry must be -1 by convention"),
+    (_set("mode", "lazy"), "mode: expected one of ('prescribed', 'generated'), got 'lazy'"),
+    (_drop("roots"), "roots: required in prescribed mode"),
+    (_set("roots", []), "roots: expected 1 per-object arrays"),
+    (_set("roots", 0, {}), "roots[0]: expected an array of vectors"),
+    (_set("roots", 0, 2, [1]), "roots[0][2]: expected 2 integers"),
+    (_set("roots", 0, 2, 0, None), "roots[0][2]: expected an integer, got None"),
+    (_set("roots", 0, 2, [0, 0]), "roots[0][2]: roots must be nonzero"),
+    (_set("roots", 0, 2, [1, 0]), "roots[0][2]: duplicate root [1, 0]"),
+    (_set("mode", "generated"), "roots: must be absent in generated mode"),
+])
+def test_load_names_each_format_error(change, message):
+    doc = {
+        "rank": 2, "objects": ["a"], "action": [[0], [0]],
+        "coefficients": [[[-1, 1]], [[1, -1]]], "mode": "prescribed",
+        "roots": [[[0, 1], [1, 0], [1, 1]]],
+    }
+    doc = change(doc) or doc
+    with pytest.raises(SchemeFormatError, match=f"^{re.escape(message)}$"):
+        wg.load_scheme(json.dumps(doc))
+
+
+def test_save_rejects_prescribed_scheme_without_roots(ex5):
+    with pytest.raises(ValueError, match="prescribed scheme has no root sets to save"):
+        wg.save_scheme(dataclasses.replace(ex5, positive_roots=None))
+
+
 # ---------------------------------------------------------------------------
 # action and theta
 
@@ -315,6 +374,21 @@ def test_validate_reports_theta_that_does_not_close(ex5):
     assert report.result(7) == AxiomResult(
         7, False, 15, "generators 1,3 at object a: theta recursion does not close"
     )
+
+
+def test_axiom_4_witness_is_the_multiple_of_the_first_generator():
+    # the stored (sorted) order meets (0,2), a multiple of simple root 2,
+    # before (3,0), a multiple of simple root 1; the witness names simple
+    # root 1 first, in validate and in the root tables alike
+    s = wg.RootGroupoidScheme(
+        rank=2, objects=("a",), action=((0,), (0,)),
+        coefficients=(((-1, 1),), ((1, -1),)), mode=wg.PRESCRIBED,
+        positive_roots=(((0, 1), (0, 2), (1, 0), (1, 1), (3, 0)),), status=wg.FINITE,
+    )
+    witness = "object a, root (3,0) is a multiple of simple root 1"
+    assert wg.validate(s).result(4) == AxiomResult(4, False, 2, witness)
+    with pytest.raises(wg.InconsistentSchemeError, match=re.escape(f"axiom 4 FAIL ({witness})")):
+        s.root_tables
 
 
 @pytest.mark.parametrize(
