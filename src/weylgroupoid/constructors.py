@@ -12,7 +12,13 @@ from __future__ import annotations
 import math
 
 from .intmat import Matrix, mat_mul, transpose
-from .scheme import GENERATED, RootGroupoidScheme, reflection_from_coefficients
+from .scheme import (
+    GENERATED,
+    RootGroupoidScheme,
+    _relabelled,
+    _walk_objects,
+    reflection_from_coefficients,
+)
 
 GENERIC = "generic"
 
@@ -193,36 +199,21 @@ def from_bicharacter(
 def schemes_isomorphic(s1: RootGroupoidScheme, s2: RootGroupoidScheme) -> bool:
     """Whether an object bijection matches action and coefficient tables.
 
-    Generators are kept fixed; the action is transitive, so a candidate
-    image of object 0 propagates to a full bijection or a contradiction.
+    Generators are kept fixed, and the action of s1 must be transitive.
+    A bijection carries the walk from object 0 of s1 onto the walk in s2
+    from the image of object 0, so the schemes are isomorphic exactly when
+    the tables relabelled along those two walks are equal.
     """
     if s1.rank != s2.rank or s1.n_objects != s2.n_objects:
         return False
-    for image0 in range(s2.n_objects):
-        mapping = {0: image0}
-        frontier = [0]
-        ok = True
-        while frontier and ok:
-            a = frontier.pop(0)
-            for i in range(s1.rank):
-                if s1.coefficients[i][a] != s2.coefficients[i][mapping[a]]:
-                    ok = False
-                    break
-                b = s1.action[i][a]
-                image = s2.action[i][mapping[a]]
-                if b in mapping:
-                    if mapping[b] != image:
-                        ok = False
-                        break
-                else:
-                    if image in mapping.values():
-                        ok = False
-                        break
-                    mapping[b] = image
-                    frontier.append(b)
-        if ok and len(mapping) == s1.n_objects:
-            return True
-    return False
+    gens = range(s1.rank)
+    walk = _walk_objects(s1, gens, 0)
+    if len(walk) < s1.n_objects:
+        return False
+    tables = _relabelled(s1, gens, walk)
+    return any(
+        _relabelled(s2, gens, _walk_objects(s2, gens, b)) == tables for b in range(s2.n_objects)
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -18,6 +18,7 @@ walk and enumeration work on their indices in the scheme's root tables
 from __future__ import annotations
 
 import itertools
+import math
 import operator
 from dataclasses import dataclass
 
@@ -60,14 +61,8 @@ class GroupoidElement:
 ZERO = GroupoidElement(None, None, None)
 
 
-class _MinusInfinity:
-    """Sentinel for the length of the zero element; MINUS_INFINITY is its one instance."""
-
-    def __repr__(self) -> str:
-        return "-infinity"
-
-
-MINUS_INFINITY = _MinusInfinity()
+# the length of the zero element, below every length
+MINUS_INFINITY = -math.inf
 
 
 @dataclass(frozen=True)

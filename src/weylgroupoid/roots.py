@@ -98,8 +98,12 @@ def _require_two_generators(s: RootGroupoidScheme, i: int, j: int, a: int) -> No
         s.root_tables  # raises unless the roots are consistent
 
 
-def _max_height(s: RootGroupoidScheme) -> int:
-    return max(height(r) for pos in s.positive_roots for r in pos)
+def _chain_bound(s: RootGroupoidScheme) -> int:
+    """Height bound of a rank-two chain walk: the generation cutoff, or four
+    times the largest stored height when there is none."""
+    if s.cutoff is not None:
+        return s.cutoff
+    return 4 * max(height(r) for pos in s.positive_roots for r in pos)
 
 
 def _closing_chain(
@@ -139,13 +143,14 @@ def rank_two_count(s: RootGroupoidScheme, i: int, j: int, a: int) -> int | float
     which is computed once per scheme (RootGroupoidScheme.rank_two_counts),
     read once root_tables has passed (InconsistentSchemeError otherwise).
     For truncated schemes the alternating chain is walked instead, and
-    ``math.inf`` is returned when the chain escapes the generation cutoff
-    before closing.
+    ``math.inf`` is returned when the chain escapes its height bound (the
+    generation cutoff, or four times the largest stored height when there
+    is none) before closing.
     """
     _require_two_generators(s, i, j, a)
     if s.status == FINITE:
         return s.rank_two_counts[i][j][a]
-    bound = s.cutoff if s.cutoff is not None else 4 * _max_height(s)
+    bound = _chain_bound(s)
     chain, stop = _closing_chain(s, i, j, a, bound)
     if stop is None:
         return len(chain)
@@ -159,12 +164,12 @@ def rank_two_positive_chain(s: RootGroupoidScheme, i: int, j: int, a: int) -> tu
 
     Starts at the i-th simple root and ends at the j-th; the chain length
     equals the rank-two count.  Raises if the rank-two component does not
-    close (infinite, or beyond the generation cutoff); on finite roots, as
-    root_tables does (InconsistentSchemeError on inconsistent ones).
+    close (infinite, or beyond the height bound of rank_two_count); on
+    finite roots, as root_tables does (InconsistentSchemeError on
+    inconsistent ones).
     """
     _require_two_generators(s, i, j, a)
-    bound = max(_max_height(s), s.cutoff or 0)
-    chain, stop = _closing_chain(s, i, j, a, bound)
+    chain, stop = _closing_chain(s, i, j, a, _chain_bound(s))
     if stop is not None:
         raise ValueError("rank-two component at this object is infinite or truncated")
     return tuple(chain)

@@ -26,21 +26,11 @@ from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Iterable, Iterator, Sequence
 
-from .intmat import (
-    Matrix,
-    Vector,
-    basis_vector,
-    identity_matrix,
-    is_nonneg,
-    is_zero,
-    mat_mul,
-    neg,
-    reflect_vector,
-)
+from .intmat import Matrix, Vector, basis_vector, is_nonneg, is_zero, neg, reflect_vector
 
 # Not called here, but kept bound in this module: the benchmark's tracer
-# (bench/tracing.py) counts calls through scheme.mat_vec.
-from .intmat import mat_vec  # noqa: E402,F401
+# (bench/tracing.py) counts calls through scheme.mat_mul and scheme.mat_vec.
+from .intmat import mat_mul, mat_vec  # noqa: E402,F401
 
 PRESCRIBED = "prescribed"
 GENERATED = "generated"
@@ -498,11 +488,10 @@ def _axiom1(s: RootGroupoidScheme) -> Iterator[str]:
         for a in range(s.n_objects):
             if s.action[i][s.action[i][a]] != a:
                 yield f"generator {_gen_label(i)} is not involutive at object {s.objects[a]}"
-    # with an involutive action the orbits partition the objects, so the
-    # second orbit starts at the smallest object not reachable from the first
-    orbits = orbit_decomposition(s, range(s.rank))
-    if len(orbits) > 1:
-        yield f"object {s.objects[orbits[1][0]]} is not reachable from {s.objects[0]}"
+    reached = set(_walk_objects(s, range(s.rank), 0))
+    for a in range(s.n_objects):
+        if a not in reached:
+            yield f"object {s.objects[a]} is not reachable from {s.objects[0]}"
 
 
 def _axiom2(s: RootGroupoidScheme) -> Iterator[str]:
@@ -554,12 +543,12 @@ def _axiom5(s: RootGroupoidScheme) -> Iterator[str]:
 
 
 def _axiom6(s: RootGroupoidScheme) -> Iterator[str]:
-    # sigma_{i, i|>a} sigma_{i,a} = id
+    # sigma_{i, i|>a} sigma_{i,a} = id; both are involutions, so this holds
+    # exactly when they are equal
     for i in range(s.rank):
         for a in range(s.n_objects):
             back = s.action[i][a]
-            prod = mat_mul(reflection_matrix(s, i, back), reflection_matrix(s, i, a))
-            if prod != identity_matrix(s.rank):
+            if reflection_matrix(s, i, back) != reflection_matrix(s, i, a):
                 yield (
                     f"generator {_gen_label(i)}: reflections at {s.objects[a]} and "
                     f"{s.objects[back]} do not compose to the identity"
@@ -614,13 +603,40 @@ def validate(s: RootGroupoidScheme) -> ValidationReport:
 
 
 # ---------------------------------------------------------------------------
-# restriction to a generator subset
+# object walks and restriction to a generator subset
+
+def _walk_objects(s: RootGroupoidScheme, gens: Iterable[int], start: int) -> list[int]:
+    """The objects reachable from start under gens, in breadth-first order,
+    trying the generators in the order given."""
+    walk, seen = [start], {start}
+    for a in walk:
+        for i in gens:
+            b = s.action[i][a]
+            if b not in seen:
+                seen.add(b)
+                walk.append(b)
+    return walk
+
+
+def _relabelled(s: RootGroupoidScheme, gens: Sequence[int], objects: Sequence[int]):
+    """The action and coefficient tables on gens and the listed objects, each
+    object renamed to its position in the list, which must hold every
+    object that gens reach from it."""
+    position = {a: k for k, a in enumerate(objects)}
+    action = tuple(tuple(position[s.action[i][a]] for a in objects) for i in gens)
+    coefficients = tuple(
+        tuple(tuple(s.coefficients[i][a][j] for j in gens) for a in objects) for i in gens
+    )
+    return action, coefficients
+
 
 def orbit_decomposition(s: RootGroupoidScheme, subset: Iterable[int]) -> list[tuple[int, ...]]:
     """Orbits of the objects under the chosen generators.
 
-    Orbits are ordered by their smallest object index; within an orbit,
-    objects are listed in ascending index order.
+    Each orbit is the walk (the objects the generators reach) from the
+    smallest object that no earlier orbit holds, in ascending index order.
+    With an involutive action the orbits partition the objects and are
+    ordered by their smallest object index.
     """
     gens = sorted(set(subset))
     if not gens:
@@ -630,46 +646,26 @@ def orbit_decomposition(s: RootGroupoidScheme, subset: Iterable[int]) -> list[tu
     seen: set[int] = set()
     orbits = []
     for start in range(s.n_objects):
-        if start in seen:
-            continue
-        orbit = {start}
-        frontier = [start]
-        while frontier:
-            a = frontier.pop(0)
-            for i in gens:
-                b = s.action[i][a]
-                if b not in orbit:
-                    orbit.add(b)
-                    frontier.append(b)
-        seen |= orbit
-        orbits.append(tuple(sorted(orbit)))
+        if start not in seen:
+            orbit = _walk_objects(s, gens, start)
+            seen.update(orbit)
+            orbits.append(tuple(sorted(orbit)))
     return orbits
 
 
 def restrict(s: RootGroupoidScheme, subset: Iterable[int]) -> list[RootGroupoidScheme]:
     """Restrict to a generator subset, one scheme per object orbit.
 
-    The restricted root set of an object keeps exactly the roots supported
-    on the chosen generators, re-coordinatized to the subset positions.
+    Each orbit's action and coefficient tables are read on the chosen
+    generators, with objects renamed by their position in the sorted
+    orbit.  The restricted root set of an object keeps exactly the roots
+    supported on the chosen generators, re-coordinatized to the subset
+    positions.
     """
     gens = sorted(set(subset))
-    orbits = orbit_decomposition(s, gens)
     out = []
-    for orbit in orbits:
-        obj_index = {a: k for k, a in enumerate(orbit)}
-        action = tuple(
-            tuple(obj_index[s.action[i][a]] for a in orbit) for i in gens
-        )
-        coefficients = tuple(
-            tuple(
-                tuple(
-                    -1 if gens[jj] == i else s.coefficients[i][a][gens[jj]]
-                    for jj in range(len(gens))
-                )
-                for a in orbit
-            )
-            for i in gens
-        )
+    for orbit in orbit_decomposition(s, gens):
+        action, coefficients = _relabelled(s, gens, orbit)
         positive_roots = None
         status = None
         if s.positive_roots is not None:

@@ -1,3 +1,6 @@
+import dataclasses
+import itertools
+import random
 import time
 
 import pytest
@@ -193,6 +196,99 @@ def test_schemes_isomorphic_detects_relabeling(ex5):
 
 def test_schemes_isomorphic_rejects_different_tables(a2, b2):
     assert not schemes_isomorphic(a2, b2)
+
+
+def _isomorphic_by_brute_force(s1, s2):
+    """Whether every object of s1 is reachable from object 0 and some object
+    bijection carries the action and coefficient tables of s1 onto s2's."""
+    if (s1.rank, s1.n_objects) != (s2.rank, s2.n_objects):
+        return False
+    reached = {0}
+    while (more := reached | {row[a] for row in s1.action for a in reached}) != reached:
+        reached = more
+    if len(reached) < s1.n_objects:
+        return False
+    return any(
+        all(
+            s2.action[i][p[a]] == p[s1.action[i][a]]
+            and s2.coefficients[i][p[a]] == s1.coefficients[i][a]
+            for i in range(s1.rank)
+            for a in range(s1.n_objects)
+        )
+        for p in itertools.permutations(range(s1.n_objects))
+    )
+
+
+def _renamed(s, p):
+    """s with object a renamed p[a] (tables only: s stores no roots)."""
+    inv = sorted(range(s.n_objects), key=p.__getitem__)
+    return dataclasses.replace(
+        s,
+        objects=tuple(s.objects[a] for a in inv),
+        action=tuple(tuple(p[row[a]] for a in inv) for row in s.action),
+        coefficients=tuple(tuple(per[a] for a in inv) for per in s.coefficients),
+    )
+
+
+def _with_coefficient_changed(s, i, a, j):
+    coefficients = [[list(vec) for vec in per] for per in s.coefficients]
+    coefficients[i][a][j] += 1
+    return dataclasses.replace(s, coefficients=tuple(tuple(map(tuple, per)) for per in coefficients))
+
+
+def _with_action_pair_changed(s, i, a):
+    """s where generator i fixes a and its partner if it moves a, and
+    otherwise swaps a with the next object it fixes (None if there is none)."""
+    row = list(s.action[i])
+    b = row[a]
+    if b == a:
+        b = next((c for c in range(a + 1, s.n_objects) if row[c] == c), None)
+        if b is None:
+            return None
+        row[a], row[b] = b, a
+    else:
+        row[a], row[b] = a, b
+    action = list(s.action)
+    action[i] = tuple(row)
+    return dataclasses.replace(s, action=tuple(action))
+
+
+def _isomorphism_pool():
+    a2_coefficients = (((-1, 1),) * 2, ((1, -1),) * 2)
+    bases = [
+        wg.strip_roots(wg.rank3_example()),
+        from_bicharacter(((3, 2, 0), (0, 3, 2), (0, 0, 3)), 12, 6),  # BI3
+        from_bicharacter(((2, 2, 0, 0), (0, 2, 1, 0), (0, 0, 3, 1), (0, 0, 0, 3)), 12, 4),  # BI4
+        # A2 at two objects that generator 2 swaps
+        wg.RootGroupoidScheme(2, ("a", "b"), ((0, 1), (1, 0)), a2_coefficients, wg.GENERATED),
+        # two disconnected copies of A2
+        wg.RootGroupoidScheme(2, ("a", "b"), ((0, 1), (0, 1)), a2_coefficients, wg.GENERATED),
+    ]
+    rng = random.Random(15)
+    pool = []
+    for s in bases:
+        pool.append(s)
+        for _ in range(2):
+            p = list(range(s.n_objects))
+            rng.shuffle(p)
+            copy = _renamed(s, p)
+            i, a = rng.randrange(s.rank), rng.randrange(s.n_objects)
+            j = rng.choice([k for k in range(s.rank) if k != i])
+            pool += [copy, _with_coefficient_changed(copy, i, a, j)]
+            changed = _with_action_pair_changed(copy, i, a)
+            if changed is not None:
+                pool.append(changed)
+    return pool
+
+
+def test_schemes_isomorphic_matches_brute_force():
+    pool = _isomorphism_pool()
+    verdicts = [[schemes_isomorphic(s1, s2) for s2 in pool] for s1 in pool]
+    assert verdicts == [[_isomorphic_by_brute_force(s1, s2) for s2 in pool] for s1 in pool]
+    # both verdicts occur among schemes of equal shape
+    shapes = [(s.rank, s.n_objects) for s in pool]
+    same_shape = [v for row, x in zip(verdicts, shapes) for v, y in zip(row, shapes) if x == y]
+    assert True in same_shape and False in same_shape
 
 
 def test_example_basics(ex5):

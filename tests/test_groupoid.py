@@ -95,6 +95,11 @@ def test_length_basics(ex5):
     assert wg.length(ex5, wg.element_of_word(ex5, LONGEST_A)) == 10
 
 
+def test_length_of_zero_orders_below_every_length(ex5):
+    assert wg.length(ex5, ZERO) < 0
+    assert min(wg.length(ex5, identity_element(ex5, A)), wg.length(ex5, ZERO)) is MINUS_INFINITY
+
+
 def test_length_subadditive(ex5):
     rng = random.Random(31)
     for _ in range(100):

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import random
@@ -263,6 +264,16 @@ def test_rank_two_chain_rejects_infinite():
     aff = wg.generate_roots(wg.from_cartan(((2, -2), (-2, 2))), 10)
     with pytest.raises(ValueError):
         wg.rank_two_positive_chain(aff, 0, 1, 0)
+
+
+def test_rank_two_chain_and_count_share_one_bound():
+    # truncated at height 3 and stripped of its cutoff, G2 walks its chain
+    # up to four times the largest stored height, to (2,3) of height 5
+    t = dataclasses.replace(wg.generate_roots(wg.from_cartan(((2, -1), (-3, 2))), 3), cutoff=None)
+    assert t.status == wg.TRUNCATED
+    chain = ((1, 0), (1, 1), (2, 3), (1, 2), (1, 3), (0, 1))
+    assert wg.rank_two_positive_chain(t, 0, 1, 0) == chain
+    assert wg.rank_two_count(t, 0, 1, 0) == len(chain)
 
 
 def _dense_chain(s, i, j, a, bound):

@@ -8,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import weylgroupoid as wg
-from weylgroupoid.scheme import AxiomResult, SchemeFormatError, word_path
+from weylgroupoid.intmat import basis_vector, identity_matrix, mat_mul
+from weylgroupoid.scheme import AxiomResult, SchemeFormatError, reflection_matrix, word_path
 
 A, B, C, D, E = range(5)
 
@@ -555,3 +556,122 @@ def test_restrict_full_subset_is_identity(ex5):
 def test_restrict_rejects_empty_subset(ex5):
     with pytest.raises(ValueError):
         wg.restrict(ex5, ())
+
+
+D4 = _cartan(4, {(0, 1): (-1, -1), (1, 2): (-1, -1), (1, 3): (-1, -1)})
+
+RESTRICT_SCHEMES = {
+    "EX": wg.rank3_example(),
+    "BI3": wg.generate_roots(wg.from_bicharacter(((3, 2, 0), (0, 3, 2), (0, 0, 3)), 12, 6), 30),
+    "D4": wg.generate_roots(wg.from_cartan(D4), 30),
+}
+
+
+def _restrict_by_definition(s, gens):
+    """One scheme per orbit of gens, orbits by least object: each keeps the
+    roots supported on gens, and names its objects by their position in
+    the sorted orbit."""
+    orbits = []
+    for start in range(s.n_objects):
+        if any(start in orbit for orbit in orbits):
+            continue
+        orbit = {start}
+        while (more := orbit | {s.action[i][a] for i in gens for a in orbit}) != orbit:
+            orbit = more
+        orbits.append(sorted(orbit))
+    return [
+        wg.RootGroupoidScheme(
+            rank=len(gens),
+            objects=tuple(s.objects[a] for a in orbit),
+            action=tuple(tuple(orbit.index(s.action[i][a]) for a in orbit) for i in gens),
+            coefficients=tuple(
+                tuple(tuple(-1 if j == i else s.coefficients[i][a][j] for j in gens) for a in orbit)
+                for i in gens
+            ),
+            mode=s.mode,
+            positive_roots=tuple(
+                tuple(sorted(
+                    tuple(r[j] for j in gens)
+                    for r in s.positive_roots[a]
+                    if not any(r[k] for k in range(s.rank) if k not in gens)
+                ))
+                for a in orbit
+            ),
+            status=s.status,
+            cutoff=s.cutoff,
+        )
+        for orbit in orbits
+    ]
+
+
+@pytest.mark.parametrize("name", sorted(RESTRICT_SCHEMES))
+def test_restrict_matches_definition_on_every_subset(name):
+    s = RESTRICT_SCHEMES[name]
+    for k in range(1, s.rank + 1):
+        for gens in itertools.combinations(range(s.rank), k):
+            assert wg.restrict(s, gens[::-1]) == _restrict_by_definition(s, gens)
+
+
+# ---------------------------------------------------------------------------
+# axioms 1 and 6, witness by witness
+
+
+def _axiom_6_by_dense_product(s):
+    """The first witness of axiom 6 read as sigma_{i, i|>a} sigma_{i, a} = id."""
+    for i in range(s.rank):
+        for a in range(s.n_objects):
+            back = s.action[i][a]
+            product = mat_mul(reflection_matrix(s, i, back), reflection_matrix(s, i, a))
+            if product != identity_matrix(s.rank):
+                return (
+                    f"generator {i + 1}: reflections at {s.objects[a]} and "
+                    f"{s.objects[back]} do not compose to the identity"
+                )
+    return None
+
+
+# on one object every reflection is its own opposite, so D4 cannot fail
+@pytest.mark.parametrize("name", ["BI3", "EX"])
+def test_axiom_6_matches_the_dense_product(name):
+    s = RESTRICT_SCHEMES[name]
+    failed = 0
+    for i, a, j in itertools.product(range(s.rank), range(s.n_objects), range(s.rank)):
+        coefficients = [[list(vec) for vec in per] for per in s.coefficients]
+        coefficients[i][a][j] += 1
+        changed = dataclasses.replace(
+            s, coefficients=tuple(tuple(map(tuple, per)) for per in coefficients)
+        )
+        witness = _axiom_6_by_dense_product(changed)
+        failed += witness is not None
+        assert wg.validate(changed).result(6) == AxiomResult(
+            6, witness is None, s.rank * s.n_objects, witness
+        )
+    assert failed > 0
+
+
+def _scheme_of_action(action):
+    """A directly built scheme with this action (load_scheme would refuse a
+    non-involutive one), storing the simple roots only."""
+    rank, n = len(action), len(action[0])
+    return wg.RootGroupoidScheme(
+        rank=rank, objects=tuple("abcde"[:n]), action=action,
+        coefficients=tuple((tuple(-1 if j == i else 0 for j in range(rank)),) * n for i in range(rank)),
+        mode=wg.PRESCRIBED,
+        positive_roots=(tuple(basis_vector(rank, j) for j in reversed(range(rank))),) * n,
+        status=wg.FINITE,
+    )
+
+
+@pytest.mark.parametrize("action, witness", [
+    # orbits {a, c}, {b, d}, {e}
+    (((2, 1, 0, 3, 4), (0, 3, 2, 1, 4)), "object b is not reachable from a"),
+    # orbits {a, b}, {c, e}, {d}
+    (((1, 0, 4, 3, 2),), "object c is not reachable from a"),
+    # generator 1 cycles a -> b -> c -> a; d is reachable from nothing
+    (((1, 2, 0, 3), (0, 1, 2, 3)), "generator 1 is not involutive at object a"),
+    # generator 2 sends b to c and c to itself
+    (((0, 1, 2, 3), (0, 2, 2, 3)), "generator 2 is not involutive at object b"),
+])
+def test_axiom_1_witness(action, witness):
+    s = _scheme_of_action(action)
+    assert wg.validate(s).result(1) == AxiomResult(1, False, s.rank * s.n_objects, witness)
