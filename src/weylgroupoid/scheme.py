@@ -605,7 +605,7 @@ def validate(s: RootGroupoidScheme) -> ValidationReport:
 # ---------------------------------------------------------------------------
 # object walks and restriction to a generator subset
 
-def _walk_objects(s: RootGroupoidScheme, gens: Iterable[int], start: int) -> list[int]:
+def _walk_objects(s: RootGroupoidScheme, gens: Sequence[int], start: int) -> list[int]:
     """The objects reachable from start under gens, in breadth-first order,
     trying the generators in the order given."""
     walk, seen = [start], {start}

@@ -267,8 +267,8 @@ def test_rank_two_chain_rejects_infinite():
 
 
 def test_rank_two_chain_and_count_share_one_bound():
-    # truncated at height 3 and stripped of its cutoff, G2 walks its chain
-    # up to four times the largest stored height, to (2,3) of height 5
+    # G2 truncated at height 3 and stripped of its cutoff: both walks go up
+    # to four times the largest stored height, so both pass (2,3) of height 5
     t = dataclasses.replace(wg.generate_roots(wg.from_cartan(((2, -1), (-3, 2))), 3), cutoff=None)
     assert t.status == wg.TRUNCATED
     chain = ((1, 0), (1, 1), (2, 3), (1, 2), (1, 3), (0, 1))
