@@ -51,18 +51,9 @@ def from_cartan(c: Matrix) -> RootGroupoidScheme:
     Returned in generated mode; call generate_roots to materialize.
     """
     n = _check_cartan(c)
-    coefficients = (
-        tuple(
-            (tuple(-1 if j == i else -c[i][j] for j in range(n)),)
-            for i in range(n)
-        )
-    )
+    coefficients = tuple((tuple(-1 if j == i else -c[i][j] for j in range(n)),) for i in range(n))
     return RootGroupoidScheme(
-        rank=n,
-        objects=("a",),
-        action=tuple((0,) for _ in range(n)),
-        coefficients=coefficients,
-        mode=GENERATED,
+        rank=n, objects=("a",), action=((0,),) * n, coefficients=coefficients, mode=GENERATED
     )
 
 
@@ -186,10 +177,9 @@ def from_bicharacter(
             coefficients[i].append(tuple(coeff))
         pos += 1
 
-    nobj = len(bases)
     return RootGroupoidScheme(
         rank=n,
-        objects=tuple(str(k) for k in range(nobj)),
+        objects=tuple(str(k) for k in range(len(bases))),
         action=tuple(tuple(row) for row in action),
         coefficients=tuple(tuple(per) for per in coefficients),
         mode=GENERATED,
@@ -199,21 +189,24 @@ def from_bicharacter(
 def schemes_isomorphic(s1: RootGroupoidScheme, s2: RootGroupoidScheme) -> bool:
     """Whether an object bijection matches action and coefficient tables.
 
-    Generators are kept fixed, and the action of s1 must be transitive.
-    A bijection carries the walk from object 0 of s1 onto the walk in s2
-    from the image of object 0, so the schemes are isomorphic exactly when
-    the tables relabelled along those two walks are equal.
+    Generators are kept fixed.  A bijection carries each orbit onto an
+    orbit, and the walk from an object onto the walk from its image, so
+    the smallest of an orbit's tables relabelled along the walks from its
+    objects is a canonical form of the orbit.  The schemes are isomorphic
+    exactly when their orbits have the same canonical forms, as many times.
     """
     if s1.rank != s2.rank or s1.n_objects != s2.n_objects:
         return False
-    gens = range(s1.rank)
-    walk = _walk_objects(s1, gens, 0)
-    if len(walk) < s1.n_objects:
-        return False
-    tables = _relabelled(s1, gens, walk)
-    return any(
-        _relabelled(s2, gens, _walk_objects(s2, gens, b)) == tables for b in range(s2.n_objects)
-    )
+    return _orbit_forms(s1) == _orbit_forms(s2)
+
+
+def _orbit_forms(s: RootGroupoidScheme) -> list:
+    """The canonical forms of the orbits of s (see schemes_isomorphic), sorted."""
+    gens = range(s.rank)
+    forms: dict[frozenset, list] = {}
+    for walk in (_walk_objects(s, gens, a) for a in range(s.n_objects)):
+        forms.setdefault(frozenset(walk), []).append(_relabelled(s, gens, walk))
+    return sorted(map(min, forms.values()))
 
 
 # ---------------------------------------------------------------------------

@@ -103,7 +103,7 @@ def element_of_word(s: RootGroupoidScheme, w: Word) -> GroupoidElement:
 
     With root tables, the simple roots of the base are carried through
     the letters, rightmost first, by index lookups.  Without them
-    (roots missing or truncated, or breaking axiom 2, 3, 4 or 5) each
+    (roots missing or truncated, or breaking one of the seven axioms) each
     letter's matrix multiplies on the right, leftmost letter first.
     Either way the result is never zero, and root data raises nothing.
     """
@@ -147,10 +147,10 @@ def length(s: RootGroupoidScheme, g: GroupoidElement):
     """Number of positive source roots sent negative; MINUS_INFINITY for zero.
 
     Equals the minimal number of generators in any word evaluating to g,
-    which needs the roots to pass axioms 2, 3, 4 and 5.  Roots are sign
-    coherent, so g sends beta to a negative root exactly when h.beta < 0,
-    where h holds the heights of g's columns.  Raises as root_tables does
-    on roots that are missing, truncated or inconsistent.
+    which needs the roots to pass the axioms that root_tables checks.
+    Roots are sign coherent, so g sends beta to a negative root exactly
+    when h.beta < 0, where h holds the heights of g's columns.  Raises as
+    root_tables does on roots that are missing, truncated or inconsistent.
     """
     if g.is_zero:
         return MINUS_INFINITY
@@ -164,7 +164,8 @@ def is_descent(s: RootGroupoidScheme, g: GroupoidElement, j: int) -> bool:
 
     True exactly when g sends the j-th simple root of its source to a
     negative root of its target.  Raises as root_tables does (ValueError,
-    InconsistentSchemeError) unless the roots are finite and consistent.
+    InconsistentSchemeError) unless the roots are finite and pass all
+    seven axioms.
     """
     if g.is_zero:
         raise ValueError("the zero element has no descents")
@@ -206,7 +207,7 @@ def _greedy_walk(s: RootGroupoidScheme, source: int, target: int, cols, descents
     next letter (None if none).
     """
     # A loop guard only: under axioms 2, 3, 4 and 5, which the tables
-    # need, each step changes the length by exactly one, so the walk stops
+    # check, each step changes the length by exactly one, so the walk stops
     # by itself within this many letters.
     bound = len(s.positive_roots[source])
     tables = s.root_tables
@@ -223,10 +224,8 @@ def canonical_reduced_word(s: RootGroupoidScheme, g: GroupoidElement) -> Word:
     """Reduced word for g obtained by stripping smallest right descents.
 
     Deterministic; the result has length(g) letters and evaluates back to
-    g.  If stripping finds no descent, has not reached the identity after
-    as many letters as the source has positive roots, or ends at an
-    identity matrix between distinct objects, InconsistentSchemeError is
-    raised.
+    g.  Raises as root_tables does, and ValueError if g's columns are not
+    roots of its target.
     """
     if g.is_zero:
         raise ValueError("the zero element has no reduced word")
@@ -252,6 +251,9 @@ def _stripped_letters(s: RootGroupoidScheme, source: int, target: int, cols) -> 
             f"stripping descents does not reach the identity within "
             f"{len(s.positive_roots[source])} letters; scheme data is inconsistent"
         )
+    # Unreachable once the tables exist: they check axiom 7, without which
+    # a word such as (1 2)^3 on two-object A2 is the identity matrix
+    # between distinct objects.  Kept as a guard.
     if reached != target:
         raise InconsistentSchemeError(
             "identity matrix between distinct objects; scheme data is inconsistent"
@@ -264,9 +266,8 @@ def longest_element(s: RootGroupoidScheme, a: int) -> GroupoidElement:
 
     Appends the smallest non-descent to the identity at a until none is
     left, then inverts by evaluating the letters in reverse order.  The
-    result's length is the number of positive roots; if the walk has not
-    ended after that many steps, the stored roots violate the axioms and
-    InconsistentSchemeError is raised.
+    result's length is the number of positive roots.  Raises as
+    root_tables does.
     """
     check_object(s, a)
     letters, _, _, j = _greedy_walk(s, a, a, s.root_tables.simple[a], descents=False)
@@ -289,9 +290,8 @@ def enumerate_elements(
     composes generators on the left, by index lookups on the columns;
     level k of the search holds the elements of length k, so it ends by
     the level after the largest number of positive roots of any object.
-    If that level is not empty, the stored roots violate the axioms and
-    InconsistentSchemeError is raised.  Sorted by (length, source,
-    target, matrix); optionally filtered by source object.
+    Raises as root_tables does.  Sorted by (length, source, target,
+    matrix); optionally filtered by source object.
     """
     tables = s.root_tables
     if source is not None:
@@ -311,6 +311,8 @@ def enumerate_elements(
                     depth[key] = level
                     nxt.append(key)
         frontier = nxt
+    # Unreachable once the tables exist: under the seven axioms they check
+    # no element is longer than its source's positive roots.  Kept as a guard.
     if frontier:
         raise InconsistentSchemeError(
             f"elements of length {bound + 1} found, more than the {bound} positive roots "

@@ -58,21 +58,20 @@ class MoveChain:
 def _segments(s: RootGroupoidScheme, letters: tuple[int, ...], base: int, positions=None) -> list:
     """The braid moves of a word as (position, first, second, m, anchor) tuples,
     at every position or only at those given.  On finite data m is read
-    from the rank-two table after root_tables, elsewhere from rank_two_count;
+    from the rank-two table of root_tables, elsewhere from rank_two_count;
     either asks for root data at the first pair of distinct letters.  A
     segment qualifies when its m letters repeat with period two.
     """
     path = word_path(s, letters, base)
     n = len(letters)
-    counts = None  # the rank-two table, once root_tables has passed
+    counts = None  # the rank-two table of the root tables, on finite data
     found = []
     for p in range(n - 1) if positions is None else positions:
         x, y = letters[p], letters[p + 1]
         if x == y:
             continue
         if counts is None and s.status == FINITE:
-            s.root_tables  # raises unless the roots are finite and consistent
-            counts = s.rank_two_counts
+            counts = s.root_tables.rank_two
         if counts is not None:
             m = counts[x][y][path[p + 1]]
         else:
@@ -97,7 +96,8 @@ def applicable_moves(s: RootGroupoidScheme, w: Word) -> list[BraidMove]:
     and its length equals the (finite) rank-two count of the pair at the
     object its leftmost letter acts from; on data that passes axiom 5 it
     is the count at the move's anchor, where its rightmost letter acts.
-    Raises as root_tables does (InconsistentSchemeError) on finite roots.
+    Raises as root_tables does on finite roots (InconsistentSchemeError
+    naming the first of the seven axioms that fails).
     """
     return [BraidMove(*seg) for seg in _segments(s, w.letters, w.base)]
 
@@ -242,7 +242,7 @@ class WeakExchangeFactorization:
 def _block_word(s: RootGroupoidScheme, js, ks, anchors):
     """The blocks on (js[t], ks[t]) at anchors[t] as one word based at anchors[-1], its
     path and its columns; raises unless each block starts where the block to its right ends."""
-    counts = s.rank_two_counts
+    counts = s.root_tables.rank_two
     words = [_alternating(x, y, counts[x][y][b] - 1) for x, y, b in zip(js, ks, anchors)]
     letters = sum(words, ())
     path, cols = _word_columns(s, letters, anchors[-1])
@@ -290,9 +290,7 @@ def weak_exchange_factor(
         jt = tail[0]
         if jt == k_current:
             raise RuntimeError("block letters coincide; factorization is invalid")
-        d = s.rank_two_counts[jt][k_current][tail_target]
-        if not isinstance(d, int):
-            raise RuntimeError("rank-two count is infinite; factorization is invalid")
+        d = tables.rank_two[jt][k_current][tail_target]
         # the block's inverse followed by the tail; it ends at the block's base
         for i in _alternating(jt, k_current, d - 1):
             tail_cols = tuple(map(tables.sigma[i][tail_target].__getitem__, tail_cols))

@@ -19,6 +19,7 @@ from .scheme import (
     GENERATED,
     TRUNCATED,
     RootGroupoidScheme,
+    RootTables,
     _require_roots,
     check_generator,
     check_object,
@@ -87,15 +88,15 @@ def generate_roots(s: RootGroupoidScheme, cutoff: int) -> RootGroupoidScheme:
     return replace(s, positive_roots=positive, status=status, cutoff=cutoff)
 
 
-def _require_two_generators(s: RootGroupoidScheme, i: int, j: int, a: int) -> None:
+def _require_two_generators(s: RootGroupoidScheme, i: int, j: int, a: int) -> RootTables | None:
+    """Check rank-two arguments; the root tables on finite roots, else None."""
     check_generator(s, i)
     check_generator(s, j)
     check_object(s, a)
     if i == j:
         raise ValueError("rank-two data requires two distinct generators")
     _require_roots(s)
-    if s.status == FINITE:
-        s.root_tables  # raises unless the roots are consistent
+    return s.root_tables if s.status == FINITE else None
 
 
 def _chain_bound(s: RootGroupoidScheme) -> int:
@@ -139,17 +140,16 @@ def _closing_chain(
 def rank_two_count(s: RootGroupoidScheme, i: int, j: int, a: int) -> int | float:
     """Number of positive roots of an object supported on two generators.
 
-    For finite schemes this is a lookup in the scheme's rank-two table,
-    which is computed once per scheme (RootGroupoidScheme.rank_two_counts),
-    read once root_tables has passed (InconsistentSchemeError otherwise).
-    For truncated schemes the alternating chain is walked instead, and
-    ``math.inf`` is returned when the chain escapes its height bound (the
-    generation cutoff, or four times the largest stored height when there
-    is none) before closing.
+    For finite schemes this is a lookup in the rank-two table of the root
+    tables, which check all seven axioms (InconsistentSchemeError
+    otherwise).  For truncated schemes the alternating chain is walked
+    instead, and ``math.inf`` is returned when the chain escapes its height
+    bound (the generation cutoff, or four times the largest stored height
+    when there is none) before closing.
     """
-    _require_two_generators(s, i, j, a)
-    if s.status == FINITE:
-        return s.rank_two_counts[i][j][a]
+    tables = _require_two_generators(s, i, j, a)
+    if tables is not None:
+        return tables.rank_two[i][j][a]
     bound = _chain_bound(s)
     chain, stop = _closing_chain(s, i, j, a, bound)
     if stop is None:

@@ -91,49 +91,26 @@ class RootGroupoidScheme:
         return basis_vector(self.rank, j)
 
     @cached_property
-    def rank_two_counts(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
-        """Rank-two table: counts[i][j][a] for generators i, j and object a.
-
-        The entry is the number of stored positive roots of object a whose
-        support (set of nonzero coordinates) lies in {i, j}, the zero vector
-        too, so the table is symmetric in i and j and counts[i][i][a] is the
-        number of stored roots supported on i alone.  Each root's support is
-        computed once, on first use; the table is kept on the instance,
-        outside the dataclass fields: equality, hashing and replace() ignore
-        it, and a replaced scheme builds its own.
-        """
-        _require_roots(self)
-        supports = [
-            [sup for sup in ({k for k, x in enumerate(r) if x} for r in pos) if len(sup) <= 2]
-            for pos in self.positive_roots
-        ]
-        rank = range(self.rank)
-        return tuple(
-            tuple(tuple(sum(map({i, j}.issuperset, per_a)) for per_a in supports) for j in rank)
-            for i in rank
-        )
-
-    @cached_property
     def root_tables(self) -> RootTables:
-        """The scheme's root-index tables, built on first use.
+        """The scheme's root-index and rank-two tables, built on first use.
 
         The one gate that every read of finite root data passes first.
-        Needs finite roots (ValueError otherwise) that pass axioms 2, 3, 4
-        and 5, on which the index representation and lengths rely;
-        otherwise raises InconsistentSchemeError with the first failing
-        axiom's witness.  Kept on the instance like rank_two_counts, so
-        equality, hashing and replace() ignore it.
+        Needs finite roots (ValueError otherwise) that pass all seven
+        axioms, checked in validate's order with the tables built as the
+        check of axiom 5; otherwise raises InconsistentSchemeError with the
+        first failing axiom's witness.  Kept on the instance, outside the
+        dataclass fields: equality, hashing and replace() ignore it.
         """
         _require_roots(self)
         if self.status != FINITE:
             raise ValueError("operation requires finite root data, scheme is truncated")
-        for axiom, check in ((2, _axiom2), (3, _axiom3), (4, _axiom4)):
-            witness = next(check(self), None)
-            if witness is not None:
-                raise InconsistentSchemeError(f"axiom {axiom} FAIL ({witness})")
+        for axiom, check in enumerate(_AXIOMS[:4], start=1):
+            _refuse(axiom, check(self))
         tables = _build_root_tables(self)
         if tables is None:
-            raise InconsistentSchemeError(f"axiom 5 FAIL ({next(_axiom5(self))})")
+            _refuse(5, _axiom5(self))
+        _refuse(6, _axiom6(self))
+        _refuse(7, _axiom7(self, tables.rank_two))
         return tables
 
 
@@ -151,12 +128,14 @@ class RootTables:
       sigma[i][a]  the reflection at (i, a) on indices: entry k is the
                    index in i |> a of the image of root k, k in -P..P-1
       simple[a]    simple[a][j] is the index of the j-th simple root
+      rank_two     rank_two[i][j][a] is the rank-two count (_rank_two_table)
     """
 
     roots: tuple[tuple[Vector, ...], ...]
     index: tuple[dict[Vector, int], ...]
     sigma: tuple[tuple[tuple[int, ...], ...], ...]
     simple: tuple[tuple[int, ...], ...]
+    rank_two: tuple[tuple[tuple[int, ...], ...], ...]
 
 
 def _build_root_tables(s: RootGroupoidScheme) -> RootTables | None:
@@ -187,7 +166,27 @@ def _build_root_tables(s: RootGroupoidScheme) -> RootTables | None:
     simple = tuple(
         tuple(idx[s.simple_root(j)] for j in range(s.rank)) for idx in index
     )
-    return RootTables(roots, index, tuple(sigma), simple)
+    return RootTables(roots, index, tuple(sigma), simple, _rank_two_table(s))
+
+
+def _rank_two_table(s: RootGroupoidScheme) -> tuple[tuple[tuple[int, ...], ...], ...]:
+    """Rank-two table: counts[i][j][a] for generators i, j and object a.
+
+    The entry is the number of stored positive roots of object a whose
+    support (set of nonzero coordinates) lies in {i, j}, the zero vector
+    too, so the table is symmetric in i and j and counts[i][i][a] is the
+    number of stored roots supported on i alone.  Each root's support is
+    computed once.
+    """
+    supports = [
+        [sup for sup in ({k for k, x in enumerate(r) if x} for r in pos) if len(sup) <= 2]
+        for pos in s.positive_roots
+    ]
+    rank = range(s.rank)
+    return tuple(
+        tuple(tuple(sum(map({i, j}.issuperset, per_a)) for per_a in supports) for j in rank)
+        for i in rank
+    )
 
 
 def _require_roots(s: RootGroupoidScheme) -> None:
@@ -483,11 +482,15 @@ def _root_label(r: Vector) -> str:
     return "(" + ",".join(str(x) for x in r) + ")"
 
 
-def _axiom1(s: RootGroupoidScheme) -> Iterator[str]:
-    for i in range(s.rank):
+def _not_involutive(s: RootGroupoidScheme, gens: Iterable[int]) -> Iterator[str]:
+    for i in gens:
         for a in range(s.n_objects):
             if s.action[i][s.action[i][a]] != a:
                 yield f"generator {_gen_label(i)} is not involutive at object {s.objects[a]}"
+
+
+def _axiom1(s: RootGroupoidScheme) -> Iterator[str]:
+    yield from _not_involutive(s, range(s.rank))
     reached = set(_walk_objects(s, range(s.rank), 0))
     for a in range(s.n_objects):
         if a not in reached:
@@ -555,11 +558,13 @@ def _axiom6(s: RootGroupoidScheme) -> Iterator[str]:
                 )
 
 
-def _axiom7(s: RootGroupoidScheme) -> Iterator[str]:
+def _axiom7(s: RootGroupoidScheme, counts=None) -> Iterator[str]:
+    """Witnesses against axiom 7 on these rank-two counts, else on fresh ones."""
+    counts = _rank_two_table(s) if counts is None else counts
     for i in range(s.rank):
         for j in range(i + 1, s.rank):
             for a in range(s.n_objects):
-                d = s.rank_two_counts[i][j][a]
+                d = counts[i][j][a]
                 try:
                     t = theta(s, i, j, a)
                 except RuntimeError:
@@ -578,6 +583,14 @@ def _axiom7(s: RootGroupoidScheme) -> Iterator[str]:
 
 
 _AXIOMS = (_axiom1, _axiom2, _axiom3, _axiom4, _axiom5, _axiom6, _axiom7)
+
+
+def _refuse(axiom: int, witnesses: Iterator[str]) -> None:
+    """Raise InconsistentSchemeError, worded as validate reports it, on the
+    axiom's first witness, if there is one."""
+    witness = next(witnesses, None)
+    if witness is not None:
+        raise InconsistentSchemeError(f"axiom {axiom} FAIL ({witness})")
 
 
 def validate(s: RootGroupoidScheme) -> ValidationReport:
@@ -634,15 +647,19 @@ def orbit_decomposition(s: RootGroupoidScheme, subset: Iterable[int]) -> list[tu
     """Orbits of the objects under the chosen generators.
 
     Each orbit is the walk (the objects the generators reach) from the
-    smallest object that no earlier orbit holds, in ascending index order.
-    With an involutive action the orbits partition the objects and are
-    ordered by their smallest object index.
+    smallest object that no earlier orbit holds, in ascending index order,
+    so the orbits partition the objects and are ordered by their smallest
+    object index.  ValueError unless the chosen generators act
+    involutively, naming the first failure as axiom 1 does.
     """
     gens = sorted(set(subset))
     if not gens:
         raise ValueError("generator subset must be nonempty")
     for i in gens:
         check_generator(s, i)
+    witness = next(_not_involutive(s, gens), None)
+    if witness is not None:
+        raise ValueError(witness)
     seen: set[int] = set()
     orbits = []
     for start in range(s.n_objects):
@@ -666,19 +683,14 @@ def restrict(s: RootGroupoidScheme, subset: Iterable[int]) -> list[RootGroupoidS
     out = []
     for orbit in orbit_decomposition(s, gens):
         action, coefficients = _relabelled(s, gens, orbit)
-        positive_roots = None
-        status = None
-        if s.positive_roots is not None:
-            per_object = []
-            for a in orbit:
-                kept = [
-                    tuple(r[j] for j in gens)
-                    for r in s.positive_roots[a]
-                    if all(r[k] == 0 for k in range(s.rank) if k not in gens)
-                ]
-                per_object.append(tuple(sorted(kept)))
-            positive_roots = tuple(per_object)
-            status = s.status
+        positive_roots = None if s.positive_roots is None else tuple(
+            tuple(sorted(
+                tuple(r[j] for j in gens)
+                for r in s.positive_roots[a]
+                if all(r[k] == 0 for k in range(s.rank) if k not in gens)
+            ))
+            for a in orbit
+        )
         out.append(
             RootGroupoidScheme(
                 rank=len(gens),
@@ -687,7 +699,7 @@ def restrict(s: RootGroupoidScheme, subset: Iterable[int]) -> list[RootGroupoidS
                 coefficients=coefficients,
                 mode=s.mode if positive_roots is not None else GENERATED,
                 positive_roots=positive_roots,
-                status=status,
+                status=None if positive_roots is None else s.status,
                 cutoff=s.cutoff,
             )
         )

@@ -9,6 +9,7 @@ import weylgroupoid as wg
 from weylgroupoid import MINUS_INFINITY, ZERO, Word
 from weylgroupoid.groupoid import generator_element, identity_element
 from weylgroupoid.intmat import identity_matrix
+from weylgroupoid.scheme import _build_root_tables
 
 A, B, C, D, E = range(5)
 
@@ -289,14 +290,39 @@ def test_enumerate_is_bounded_on_inconsistent_roots(affine_file):
 def a2_swapped():
     """A2 at two objects that generator 2 swaps and generator 1 fixes.
 
-    Axioms 1-6 hold, so the root tables exist; axiom 7 fails (theta 2 does
-    not divide count 3), and (1 2)^3 is the identity matrix from a to b.
+    Axioms 1-6 hold; axiom 7 fails (theta 2 does not divide count 3), so
+    the root tables refuse it, and (1 2)^3 is the identity matrix from a
+    to b.
     """
     s = wg.RootGroupoidScheme(
         rank=2, objects=("a", "b"), action=((0, 1), (1, 0)),
         coefficients=(((-1, 1),) * 2, ((1, -1),) * 2), mode=wg.GENERATED,
     )
     return wg.generate_roots(s, 10)
+
+
+A2_SWAPPED_AXIOM_7 = re.escape(
+    "axiom 7 FAIL (generators 1,2 at object a: theta 2 does not divide count 3)"
+)
+
+
+def _past_the_gate(s):
+    """A copy of s whose root tables are built without checking the axioms,
+    so that the guards behind the gate can be reached."""
+    t = dataclasses.replace(s)
+    vars(t)["root_tables"] = _build_root_tables(t)
+    return t
+
+
+@pytest.mark.parametrize("call", [
+    lambda s: wg.longest_element(s, A),
+    wg.enumerate_elements,
+    lambda s: wg.canonical_reduced_word(s, wg.element_of_word(s, Word(A, (0, 1) * 3))),
+], ids=["longest_element", "enumerate_elements", "canonical_reduced_word"])
+def test_root_tables_refuse_axiom_7_failures(a2_swapped, call):
+    # longest_element used to answer: 1 2 1, from a to b
+    with pytest.raises(wg.InconsistentSchemeError, match=A2_SWAPPED_AXIOM_7):
+        call(a2_swapped)
 
 
 def test_enumerate_is_bounded_when_only_axiom_7_fails(a2_swapped):
@@ -306,14 +332,15 @@ def test_enumerate_is_bounded_when_only_axiom_7_fails(a2_swapped):
         wg.InconsistentSchemeError,
         match="elements of length 4 found, more than the 3 positive roots",
     ):
-        wg.enumerate_elements(a2_swapped)
+        wg.enumerate_elements(_past_the_gate(a2_swapped))
 
 
 def test_canonical_word_rejects_identity_between_objects(a2_swapped):
-    g = wg.element_of_word(a2_swapped, Word(A, (0, 1) * 3))
+    s = _past_the_gate(a2_swapped)
+    g = wg.element_of_word(s, Word(A, (0, 1) * 3))
     assert (g.source, g.target, g.matrix) == (A, B, identity_matrix(2))
     with pytest.raises(ValueError, match="identity matrix between distinct objects"):
-        wg.canonical_reduced_word(a2_swapped, g)
+        wg.canonical_reduced_word(s, g)
 
 
 def test_enumerate_rank_one(rank1):

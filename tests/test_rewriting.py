@@ -223,9 +223,11 @@ def test_connect_word_to_itself(ex5):
 def test_connect_raises_when_braid_classes_do_not_meet(ex5):
     # with no move applicable each word is its own braid class, so the first
     # expansion empties the u frontier; a rank-two table whose counts exceed
-    # every word's length leaves no segment to match
+    # every word's length, put in after the root tables have checked the
+    # data, leaves no segment to match
     s = dataclasses.replace(ex5)
-    vars(s)["rank_two_counts"] = ((((99,) * s.n_objects,) * s.rank,) * s.rank)
+    counts = (((99,) * s.n_objects,) * s.rank,) * s.rank
+    vars(s)["root_tables"] = dataclasses.replace(ex5.root_tables, rank_two=counts)
     with pytest.raises(RuntimeError, match="exhausted the reduced words"):
         wg.braid_connect(s, Word(A, (0, 1, 0)), Word(A, (1, 0, 1)))
 
@@ -477,11 +479,13 @@ def test_weak_exchange_rejects_empty(ex5):
 
 def _tampered_rank_two(s, value):
     """A copy of s whose rank-two table has counts[0][1][a] = value, and
-    counts[1][0][a] left as it was, so the table is no longer symmetric."""
+    counts[1][0][a] left as it was, so the table is no longer symmetric.
+    The table is changed after the root tables have checked the data."""
     t = dataclasses.replace(s)
-    counts = [[list(row) for row in per_i] for per_i in s.rank_two_counts]
+    counts = [[list(row) for row in per_i] for per_i in s.root_tables.rank_two]
     counts[0][1][A] = value
-    vars(t)["rank_two_counts"] = tuple(tuple(map(tuple, per_i)) for per_i in counts)
+    counts = tuple(tuple(map(tuple, per_i)) for per_i in counts)
+    vars(t)["root_tables"] = dataclasses.replace(s.root_tables, rank_two=counts)
     return t
 
 

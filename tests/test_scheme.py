@@ -9,7 +9,14 @@ from hypothesis import strategies as st
 
 import weylgroupoid as wg
 from weylgroupoid.intmat import basis_vector, identity_matrix, mat_mul
-from weylgroupoid.scheme import AxiomResult, SchemeFormatError, reflection_matrix, word_path
+from weylgroupoid.scheme import (
+    AxiomResult,
+    SchemeFormatError,
+    _rank_two_table,
+    orbit_decomposition,
+    reflection_matrix,
+    word_path,
+)
 
 A, B, C, D, E = range(5)
 
@@ -484,10 +491,12 @@ def _table_scheme(name, ex5):
 def test_rank_two_table_matches_brute_force(ex5, name):
     s = _table_scheme(name, ex5)
     assert s.status == wg.FINITE
+    # the zero vector fails the gate; the table's own builder still counts it
+    counts = _rank_two_table(s) if name == "example-zero-vector" else s.root_tables.rank_two
     for i in range(s.rank):
         for j in range(s.rank):
             for a in range(s.n_objects):
-                assert s.rank_two_counts[i][j][a] == _brute_force_count(s, i, j, a)
+                assert counts[i][j][a] == _brute_force_count(s, i, j, a)
 
 
 @pytest.mark.parametrize("name", sorted(CARTAN_TYPES))
@@ -498,30 +507,32 @@ def test_rank_two_table_cartan_closed_form(name):
     for i in range(s.rank):
         for j in range(s.rank):
             if i != j:
-                assert s.rank_two_counts[i][j][0] == {0: 2, 1: 3, 2: 4, 3: 6}[c[i][j] * c[j][i]]
+                assert s.root_tables.rank_two[i][j][0] == {0: 2, 1: 3, 2: 4, 3: 6}[c[i][j] * c[j][i]]
 
 
 def test_rank_two_table_leaves_equality_and_hash(ex5):
     fresh = dataclasses.replace(ex5)
-    assert "rank_two_counts" not in vars(fresh)
-    ex5.rank_two_counts
-    assert "rank_two_counts" in vars(ex5)
+    assert "root_tables" not in vars(fresh)
+    ex5.root_tables.rank_two
+    assert "root_tables" in vars(ex5)
     assert fresh == ex5 and hash(fresh) == hash(ex5)
     assert repr(fresh) == repr(ex5)
 
 
 def test_rank_two_table_rebuilt_on_replace(ex5):
-    assert ex5.rank_two_counts[1][2][A] == 4
+    assert ex5.root_tables.rank_two[1][2][A] == 4
     roots = list(ex5.positive_roots)
     roots[A] = tuple(r for r in roots[A] if r != (0, 2, 1))
     mutated = dataclasses.replace(ex5, positive_roots=tuple(roots))
-    assert mutated.rank_two_counts[1][2][A] == 3
-    assert ex5.rank_two_counts[1][2][A] == 4
+    # the gate refuses the mutated roots; the table's builder counts them
+    assert not wg.validate(mutated).passed
+    assert _rank_two_table(mutated)[1][2][A] == 3
+    assert ex5.root_tables.rank_two[1][2][A] == 4
 
 
 def test_rank_two_table_requires_roots(ex5):
     with pytest.raises(ValueError, match="materialized"):
-        wg.strip_roots(ex5).rank_two_counts
+        wg.rank_two_count(wg.strip_roots(ex5), 1, 2, A)
 
 
 # ---------------------------------------------------------------------------
@@ -662,7 +673,7 @@ def _scheme_of_action(action):
     )
 
 
-@pytest.mark.parametrize("action, witness", [
+AXIOM_1_CASES = [
     # orbits {a, c}, {b, d}, {e}
     (((2, 1, 0, 3, 4), (0, 3, 2, 1, 4)), "object b is not reachable from a"),
     # orbits {a, b}, {c, e}, {d}
@@ -671,7 +682,69 @@ def _scheme_of_action(action):
     (((1, 2, 0, 3), (0, 1, 2, 3)), "generator 1 is not involutive at object a"),
     # generator 2 sends b to c and c to itself
     (((0, 1, 2, 3), (0, 2, 2, 3)), "generator 2 is not involutive at object b"),
-])
+]
+
+
+@pytest.mark.parametrize("action, witness", AXIOM_1_CASES)
 def test_axiom_1_witness(action, witness):
     s = _scheme_of_action(action)
     assert wg.validate(s).result(1) == AxiomResult(1, False, s.rank * s.n_objects, witness)
+
+
+def test_orbit_decomposition_refuses_a_non_involutive_action():
+    # generator 1 sends both objects to a; the orbits used to be (a) and (a, b)
+    s = _scheme_of_action(((0, 0),))
+    witness = "generator 1 is not involutive at object b"
+    assert wg.validate(s).result(1).witness == witness
+    for call in (orbit_decomposition, wg.restrict):
+        with pytest.raises(ValueError, match=f"^{witness}$"):
+            call(s, (0,))
+
+
+# ---------------------------------------------------------------------------
+# the root tables as the one gate
+
+
+def _gate_pool():
+    yield from (RESTRICT_SCHEMES["EX"], RESTRICT_SCHEMES["D4"], RESTRICT_SCHEMES["BI3"])
+    yield wg.generate_roots(wg.from_cartan(((2, -1, 0), (-1, 2, -1), (0, -1, 2))), 30)  # A3
+    # A2 at two objects that generator 2 swaps: fails axiom 7 only
+    yield wg.generate_roots(wg.RootGroupoidScheme(
+        2, ("a", "b"), ((0, 1), (1, 0)), (((-1, 1),) * 2, ((1, -1),) * 2), wg.GENERATED,
+    ), 10)
+    for c, roots in (
+        (1, [[0, 1], [0, 2], [1, 0], [1, 1], [1, 2], [2, 2]]),  # BC2: fails axiom 4
+        (2, [[0, 1], [1, 0]]),  # affine A1: fails axiom 5
+    ):
+        yield wg.load_scheme(json.dumps({
+            "rank": 2, "objects": ["a"], "action": [[0], [0]], "mode": "prescribed",
+            "coefficients": [[[-1, c]], [[2, -1]]], "roots": [roots],
+        }))
+    for s in (RESTRICT_SCHEMES["EX"], RESTRICT_SCHEMES["BI3"]):
+        for i, a, j in itertools.product(range(s.rank), range(s.n_objects), range(s.rank)):
+            if j != i:
+                coefficients = [[list(vec) for vec in per] for per in s.coefficients]
+                coefficients[i][a][j] += 1
+                yield dataclasses.replace(
+                    s, coefficients=tuple(tuple(map(tuple, per)) for per in coefficients)
+                )
+    for action, _ in AXIOM_1_CASES:
+        yield _scheme_of_action(action)
+
+
+def test_root_tables_pass_exactly_when_validate_does():
+    failed_axioms = set()
+    for s in _gate_pool():
+        s = dataclasses.replace(s)  # no tables built yet
+        failed = next((r for r in wg.validate(s).results if not r.passed), None)
+        if failed is None:
+            assert s.root_tables.sigma
+            continue
+        failed_axioms.add(failed.axiom)
+        message = f"axiom {failed.axiom} FAIL ({failed.witness})"
+        with pytest.raises(wg.InconsistentSchemeError, match=f"^{re.escape(message)}$"):
+            s.root_tables
+    # axiom 6 never fails first: on finite roots that pass axiom 5 the two
+    # reflections' product is unipotent and permutes a finite spanning set,
+    # so it is the identity
+    assert failed_axioms == {1, 4, 5, 7}
