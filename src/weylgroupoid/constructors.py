@@ -11,14 +11,8 @@ from __future__ import annotations
 
 import math
 
-from .intmat import Matrix, mat_mul, transpose
-from .scheme import (
-    GENERATED,
-    RootGroupoidScheme,
-    _relabelled,
-    _walk_objects,
-    reflection_from_coefficients,
-)
+from .intmat import Matrix, reflect_columns, transpose
+from .scheme import GENERATED, RootGroupoidScheme, _relabelled, _walk_objects
 
 GENERIC = "generic"
 
@@ -112,8 +106,9 @@ def from_bicharacter(
     The reflection at generator i has the matrix S of
     reflection_from_coefficients, with coefficients read from
     d_i = B[i][i] and s_ij = B[i][j] + B[j][i]; its target basis carries
-    the reflected bicharacter, exponent matrix S^T B S (reduced mod the
-    order when finite).  Objects are equivalence classes of bases under
+    the reflected bicharacter, exponent matrix S^T B S (formed by the
+    column kernel intmat.reflect_columns, reduced mod the order when
+    finite).  Objects are equivalence classes of bases under
     the fingerprint of basis_fingerprint; discovery is breadth-first,
     numbering objects by first appearance.  Raises NotArithmeticError
     when some reflection coefficient has no finite value or some diagonal
@@ -164,8 +159,9 @@ def from_bicharacter(
                         f"not arithmetic at object {pos}, generator {i + 1}, index {j + 1}"
                     )
                 coeff.append(m)
-            refl = reflection_from_coefficients(i, coeff)
-            target = reduced(mat_mul(transpose(refl), mat_mul(b, refl)))
+            # S^T B S = ((B S)^T S)^T
+            bs = reflect_columns(b, i, coeff)
+            target = reduced(transpose(reflect_columns(transpose(bs), i, coeff)))
             target_fp = fingerprint(target)
             if target_fp not in index_of:
                 check_diag(target_fp, str(len(bases)))

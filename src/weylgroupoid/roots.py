@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from operator import mul
 from typing import Sequence
 
 from .intmat import Vector, basis_vector, height, is_nonneg, neg, reflect_vector
@@ -51,10 +52,13 @@ def generate_roots(s: RootGroupoidScheme, cutoff: int) -> RootGroupoidScheme:
 
     Starting from the simple roots, reflects every vector found by every
     generator once, keeping each image of height at most ``cutoff``,
-    until no vector is left to reflect.  The returned scheme stores the
-    positive halves and is marked "finite" if every reflection maps the
+    until no vector is left to reflect.  Each vector's height travels with
+    it in the worklist, and an image's height is tested before the image
+    is built.  The returned scheme stores the positive halves and is
+    marked "finite" if no image was dropped, every reflection maps the
     accumulated sets bijectively onto each other and each set is its
-    positive half together with the negatives, "truncated" otherwise.
+    positive half together with the negatives, "truncated" otherwise;
+    the last two certificates are computed only when nothing was dropped.
     """
     if s.mode != GENERATED:
         raise ValueError("root generation applies to generated-mode schemes")
@@ -64,27 +68,43 @@ def generate_roots(s: RootGroupoidScheme, cutoff: int) -> RootGroupoidScheme:
     found: list[set[Vector]] = [
         {basis_vector(s.rank, j) for j in range(s.rank)} for _ in range(s.n_objects)
     ]
-    pending = [(a, r) for a in range(s.n_objects) for r in found[a]]
+    # per object, (i, i |> a, row i of the reflection matrix) for each generator
+    steps = [
+        [(i, s.action[i][a], c[:i] + (-1,) + c[i + 1 :])
+         for i, c in enumerate(per[a] for per in s.coefficients)]
+        for a in range(s.n_objects)
+    ]
+    pending = [(a, r, 1) for a in range(s.n_objects) for r in found[a]]
     dropped = False
     while pending:
-        a, r = pending.pop()
-        h = height(r)
-        for i in range(s.rank):
-            v = reflect_vector(i, s.coefficients[i][a], r)
-            target = s.action[i][a]
-            # the reflection changes coordinate i only
-            if h - abs(r[i]) + abs(v[i]) > cutoff:
+        a, r, h = pending.pop()
+        for i, target, row in steps[a]:
+            # the reflection changes coordinate i only, to x
+            x = sum(map(mul, row, r))
+            hx = h - abs(r[i]) + abs(x)
+            if hx > cutoff:
                 dropped = True
-            elif v not in found[target]:
+                continue
+            v = r[:i] + (x,) + r[i + 1 :]
+            if v not in found[target]:
                 found[target].add(v)
-                pending.append((target, v))
+                pending.append((target, v, hx))
 
     positive = tuple(tuple(sorted(v for v in vs if is_nonneg(v))) for vs in found)
     # With nothing dropped, every reflection maps found[a] into
     # found[i |> a]; reflections are injective, so equal sizes make it onto.
-    onto = all(len(found[a]) == len(found[b]) for row in s.action for a, b in enumerate(row))
-    coherent = all(vs == set(pos) | {neg(r) for r in pos} for vs, pos in zip(found, positive))
-    status = FINITE if not dropped and onto and coherent else TRUNCATED
+    # They are invertible too, so no set holds the zero vector and a
+    # positive half is disjoint from its negatives: a set is the two
+    # together exactly when it holds every negative and has twice the size.
+    finite = (
+        not dropped
+        and all(len(found[a]) == len(found[b]) for row in s.action for a, b in enumerate(row))
+        and all(
+            len(vs) == 2 * len(pos) and all(neg(r) in vs for r in pos)
+            for vs, pos in zip(found, positive)
+        )
+    )
+    status = FINITE if finite else TRUNCATED
     return replace(s, positive_roots=positive, status=status, cutoff=cutoff)
 
 

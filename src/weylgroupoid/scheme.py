@@ -96,10 +96,13 @@ class RootGroupoidScheme:
 
         The one gate that every read of finite root data passes first.
         Needs finite roots (ValueError otherwise) that pass all seven
-        axioms, checked in validate's order with the tables built as the
-        check of axiom 5; otherwise raises InconsistentSchemeError with the
-        first failing axiom's witness.  Kept on the instance, outside the
-        dataclass fields: equality, hashing and replace() ignore it.
+        axioms; otherwise raises InconsistentSchemeError with the first
+        failing axiom's witness.  Axioms 1-4, 5 (by building the tables)
+        and 7 are checked in validate's order; on finite roots axiom 6
+        follows from axioms 1, 2 and 5 (see below).  A passing validate on
+        finite roots leaves the tables here already.  Kept on the instance,
+        outside the dataclass fields: equality, hashing and replace()
+        ignore it.
         """
         _require_roots(self)
         if self.status != FINITE:
@@ -109,7 +112,11 @@ class RootGroupoidScheme:
         tables = _build_root_tables(self)
         if tables is None:
             _refuse(5, _axiom5(self))
-        _refuse(6, _axiom6(self))
+        # Axiom 6 cannot fail here.  P = sigma_{i, i|>a} sigma_{i,a} is the
+        # identity plus a row-i update whose entry i is zero, so (P - I)^2 = 0:
+        # P is unipotent.  By axioms 1 and 5 it permutes the finite root set
+        # of a, which spans by axiom 2, so P has finite order.  A unipotent
+        # integer matrix of finite order is the identity: P^k = I + k(P - I).
         _refuse(7, _axiom7(self, tables.rank_two))
         return tables
 
@@ -602,17 +609,32 @@ def validate(s: RootGroupoidScheme) -> ValidationReport:
     object) order, never raised.  Each axiom's check count is the number
     of cases it covers: one per (generator, object) pair, one per stored
     root for axiom 3, and one per (generator pair, object) for axiom 7.
+
+    Axiom 5 is checked by building the root tables, as the root_tables
+    gate does, once axioms 2 and 3 hold.  When every axiom passes on
+    finite roots, those tables are kept as the scheme's root_tables, so
+    later reads do not check the axioms again.
     """
     _require_roots(s)
     per_pair = s.rank * s.n_objects
     n_roots = sum(len(pos) for pos in s.positive_roots)
     n_rank_two = math.comb(s.rank, 2) * s.n_objects
+    witnesses = [next(check(s), None) for check in _AXIOMS[:4]]
+    # the tables need axioms 2 and 3: nonzero, sign-coherent stored halves
+    tables = None
+    if witnesses[1] is None and witnesses[2] is None:
+        tables = _build_root_tables(s)
+    witnesses.append(None if tables is not None else next(_axiom5(s), None))
+    witnesses.append(next(_axiom6(s), None))
+    witnesses.append(next(_axiom7(s, None if tables is None else tables.rank_two), None))
     checked = (per_pair, per_pair, n_roots, per_pair, per_pair, per_pair, n_rank_two)
-    results = []
-    for axiom, (check, count) in enumerate(zip(_AXIOMS, checked), start=1):
-        witness = next(check(s), None)
-        results.append(AxiomResult(axiom, witness is None, count, witness))
-    return ValidationReport(tuple(results))
+    results = tuple(
+        AxiomResult(axiom, witness is None, count, witness)
+        for axiom, (witness, count) in enumerate(zip(witnesses, checked), start=1)
+    )
+    if s.status == FINITE and all(w is None for w in witnesses):
+        vars(s)["root_tables"] = tables
+    return ValidationReport(results)
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,8 @@ from weylgroupoid.constructors import (
     from_cartan,
     schemes_isomorphic,
 )
+from weylgroupoid.intmat import mat_mul, transpose
+from weylgroupoid.scheme import reflection_from_coefficients
 
 A2 = ((2, -1), (-1, 2))
 
@@ -166,6 +168,92 @@ def test_bicharacter_schemes_are_well_formed(case):
     full = wg.generate_roots(s, 30)
     if full.status == wg.FINITE:
         assert wg.validate(full).passed
+
+
+def _dense_from_bicharacter(exponents, cutoff, order):
+    """from_bicharacter with each target exponent matrix S^T B S formed by
+    two dense products with the reflection matrix S, kept as the oracle."""
+    n = len(exponents)
+
+    def reduced(b):
+        return b if order is None else tuple(tuple(x % order for x in row) for row in b)
+
+    def fingerprint(b):
+        sym = [b[i][j] + b[j][i] for i in range(n) for j in range(i + 1, n)]
+        return basis_fingerprint([b[i][i] for i in range(n)], sym, order)
+
+    def check_diag(fp, label):
+        for i, d in enumerate(fp[0]):
+            if d == 0:
+                raise NotArithmeticError(
+                    f"diagonal exponent of index {i + 1} is trivial at object {label}"
+                )
+
+    bases = [reduced(tuple(map(tuple, exponents)))]
+    check_diag(fingerprint(bases[0]), "0")
+    index_of = {fingerprint(bases[0]): 0}
+    action = [[] for _ in range(n)]
+    coefficients = [[] for _ in range(n)]
+    for pos, b in enumerate(bases):  # grows while walked
+        for i in range(n):
+            coeff = []
+            for j in range(n):
+                m = -1 if j == i else _coefficient(b[i][i], b[i][j] + b[j][i], order)
+                if m is None:
+                    raise NotArithmeticError(
+                        f"not arithmetic at object {pos}, generator {i + 1}, index {j + 1}"
+                    )
+                coeff.append(m)
+            refl = reflection_from_coefficients(i, coeff)
+            target = reduced(mat_mul(transpose(refl), mat_mul(b, refl)))
+            fp = fingerprint(target)
+            if fp not in index_of:
+                check_diag(fp, str(len(bases)))
+                if len(bases) == cutoff:
+                    raise ValueError(f"object cutoff {cutoff} exceeded")
+                index_of[fp] = len(bases)
+                bases.append(target)
+            action[i].append(index_of[fp])
+            coefficients[i].append(tuple(coeff))
+    return wg.RootGroupoidScheme(
+        rank=n,
+        objects=tuple(str(k) for k in range(len(bases))),
+        action=tuple(map(tuple, action)),
+        coefficients=tuple(map(tuple, coefficients)),
+        mode=wg.GENERATED,
+    )
+
+
+@st.composite
+def _exponent_matrices(draw):
+    """Rank 2-4 exponent matrices at generic, small and large orders."""
+    n = draw(st.integers(2, 4))
+    order = draw(st.none() | st.integers(2, 12) | st.integers(1000, 10000))
+    top = 7 if order is None else order
+    exponents = tuple(
+        tuple(
+            draw(st.integers(1, top - 1) if i == j else st.integers(-top + 1, top - 1) | st.just(0))
+            for j in range(n)
+        )
+        for i in range(n)
+    )
+    return exponents, order
+
+
+def _built(build, exponents, order):
+    try:
+        return build(exponents, 12, order)
+    except ValueError as e:
+        return type(e), str(e)
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(case=_exponent_matrices())
+def test_from_bicharacter_matches_dense_products(case):
+    exponents, order = case
+    assert _built(from_bicharacter, exponents, order) == _built(
+        _dense_from_bicharacter, exponents, order
+    )
 
 
 def test_fingerprint_is_permutation_sensitive_but_stable():

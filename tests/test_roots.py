@@ -175,12 +175,15 @@ def _hand_built_schemes(draw):
     12,
 ))
 # nothing dropped and sizes equal along every reflection, but a set is
-# not its positive half with the negatives
+# not its positive half with the negatives: object a holds the mixed-sign
+# (1,-1) and (-1,1), so it has six vectors for a positive half of two
 @example(_hand_built(
     ((1, 3, 3, 2), (2, 3, 0, 1)),
     (((-1, 0), (-1, 1), (-1, 1), (-1, 1)), ((0, -1), (1, -1), (0, -1), (1, -1))),
     3,
 ))
+# affine A3, a rank-4 Cartan matrix of no finite type: truncated at 20
+@example((wg.from_cartan(((2, -1, 0, -1), (-1, 2, -1, 0), (0, -1, 2, -1), (-1, 0, -1, 2))), 20))
 def test_worklist_certificate_matches_re_reflection(case):
     s, cutoff = case
     out = wg.generate_roots(s, cutoff)

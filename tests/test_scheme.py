@@ -12,6 +12,13 @@ from weylgroupoid.intmat import basis_vector, identity_matrix, mat_mul
 from weylgroupoid.scheme import (
     AxiomResult,
     SchemeFormatError,
+    _axiom1,
+    _axiom2,
+    _axiom3,
+    _axiom4,
+    _axiom5,
+    _axiom6,
+    _axiom7,
     _rank_two_table,
     orbit_decomposition,
     reflection_matrix,
@@ -748,3 +755,52 @@ def test_root_tables_pass_exactly_when_validate_does():
     # reflections' product is unipotent and permutes a finite spanning set,
     # so it is the identity
     assert failed_axioms == {1, 4, 5, 7}
+
+
+def test_axiom_6_fails_only_after_an_earlier_axiom():
+    # the gate skips axiom 6: on finite roots it follows from axioms 1, 2 and 5
+    reports = [wg.validate(dataclasses.replace(s)).results for s in _gate_pool()]
+    failing_6 = [results for results in reports if not results[5].passed]
+    assert failing_6
+    for results in failing_6:
+        assert not all(r.passed for r in results[:5])
+
+
+def test_validate_reports_each_axiom_as_checked_alone():
+    checks = (_axiom1, _axiom2, _axiom3, _axiom4, _axiom5, _axiom6, _axiom7)
+    for s in _gate_pool():
+        results = wg.validate(dataclasses.replace(s)).results
+        for axiom, (result, check) in enumerate(zip(results, checks), start=1):
+            witness = next(check(s), None)
+            assert result == AxiomResult(axiom, witness is None, result.checked, witness)
+
+
+def _message(report):
+    failed = next(r for r in report.results if not r.passed)
+    return f"axiom {failed.axiom} FAIL ({failed.witness})"
+
+
+def test_validate_leaves_the_gate_tables_exactly_when_it_passes():
+    for s in _gate_pool():
+        s = dataclasses.replace(s)  # no tables built yet
+        report = wg.validate(s)
+        if report.passed:
+            assert "root_tables" in vars(s)
+            assert vars(s.root_tables) == vars(dataclasses.replace(s).root_tables)
+            continue
+        assert "root_tables" not in vars(s)
+        with pytest.raises(wg.InconsistentSchemeError, match=f"^{re.escape(_message(report))}$"):
+            s.root_tables
+
+
+def test_validate_on_truncated_roots_leaves_no_tables():
+    a3 = wg.generate_roots(wg.from_cartan(((2, -1, 0), (-1, 2, -1), (0, -1, 2))), 30)
+    marked = dataclasses.replace(a3, status=wg.TRUNCATED)
+    affine = wg.generate_roots(wg.from_cartan(((2, -2), (-2, 2))), 10)
+    assert affine.status == wg.TRUNCATED
+    assert wg.validate(marked).passed  # complete roots, marked truncated
+    assert not wg.validate(affine).passed
+    for s in (marked, affine):
+        assert "root_tables" not in vars(s)
+        with pytest.raises(ValueError, match="truncated"):
+            s.root_tables
