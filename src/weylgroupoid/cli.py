@@ -231,14 +231,14 @@ def cmd_from_bichar(s, args) -> int:
 
 
 def cmd_export_dot(s, args) -> int:
-    lines = ["graph scheme {"]
-    for name in s.objects:
-        lines.append(f'  "{name}";')
+    # DOT quoted IDs, with backslash and double quote escaped
+    ids = ['"' + name.replace("\\", "\\\\").replace('"', '\\"') + '"' for name in s.objects]
+    lines = ["graph scheme {", *(f"  {x};" for x in ids)]
     for i in range(s.rank):
         for a in range(s.n_objects):
             b = s.action[i][a]
             if a < b:
-                lines.append(f'  "{s.objects[a]}" -- "{s.objects[b]}" [label="{i + 1}"];')
+                lines.append(f'  {ids[a]} -- {ids[b]} [label="{i + 1}"];')
     lines.append("}")
     print("\n".join(lines))
     return 0

@@ -143,6 +143,18 @@ def inverse(g: GroupoidElement) -> GroupoidElement:
     return GroupoidElement(g.target, g.source, mat_inverse(g.matrix))
 
 
+def _element_tables(s: RootGroupoidScheme, g: GroupoidElement) -> RootTables:
+    """s.root_tables (raising as they do), then ValueError unless the nonzero
+    g fits s: source and target are objects of s, the matrix is rank x rank."""
+    tables, n, rank = s.root_tables, s.n_objects, s.rank
+    if not (0 <= g.source < n and 0 <= g.target < n):
+        check_object(s, g.source)
+        check_object(s, g.target)
+    if len(g.matrix) != rank or any(map(rank.__ne__, map(len, g.matrix))):
+        raise ValueError(f"element matrix is not {rank} x {rank}")
+    return tables
+
+
 def length(s: RootGroupoidScheme, g: GroupoidElement):
     """Number of positive source roots sent negative; MINUS_INFINITY for zero.
 
@@ -150,11 +162,11 @@ def length(s: RootGroupoidScheme, g: GroupoidElement):
     which needs the roots to pass the axioms that root_tables checks.
     Roots are sign coherent, so g sends beta to a negative root exactly
     when h.beta < 0, where h holds the heights of g's columns.  Raises as
-    root_tables does on roots that are missing, truncated or inconsistent.
+    root_tables does, and ValueError if g does not fit s (_element_tables).
     """
     if g.is_zero:
         return MINUS_INFINITY
-    s.root_tables  # raises unless the roots are finite and consistent
+    _element_tables(s, g)
     h = [sum(col) for col in zip(*g.matrix)]
     return sum(1 for r in s.positive_roots[g.source] if sum(map(operator.mul, h, r)) < 0)
 
@@ -163,14 +175,13 @@ def is_descent(s: RootGroupoidScheme, g: GroupoidElement, j: int) -> bool:
     """Whether appending the j-th generator on the right shortens g.
 
     True exactly when g sends the j-th simple root of its source to a
-    negative root of its target.  Raises as root_tables does (ValueError,
-    InconsistentSchemeError) unless the roots are finite and pass all
-    seven axioms.
+    negative root of its target.  Raises as root_tables does, and
+    ValueError if g does not fit s (_element_tables).
     """
     if g.is_zero:
         raise ValueError("the zero element has no descents")
     check_generator(s, j)
-    s.root_tables  # raises unless the roots are finite and consistent
+    _element_tables(s, g)
     return all(row[j] <= 0 for row in g.matrix)
 
 
@@ -224,12 +235,12 @@ def canonical_reduced_word(s: RootGroupoidScheme, g: GroupoidElement) -> Word:
     """Reduced word for g obtained by stripping smallest right descents.
 
     Deterministic; the result has length(g) letters and evaluates back to
-    g.  Raises as root_tables does, and ValueError if g's columns are not
-    roots of its target.
+    g.  Raises as root_tables does, and ValueError if g does not fit s
+    (_element_tables) or its columns are not roots of its target.
     """
     if g.is_zero:
         raise ValueError("the zero element has no reduced word")
-    tables = s.root_tables
+    tables = _element_tables(s, g)
     try:
         cols = [tables.index[g.target][col] for col in zip(*g.matrix)]
         return Word(g.source, _stripped_letters(s, g.source, g.target, cols))

@@ -96,28 +96,19 @@ class RootGroupoidScheme:
 
         The one gate that every read of finite root data passes first.
         Needs finite roots (ValueError otherwise) that pass all seven
-        axioms; otherwise raises InconsistentSchemeError with the first
-        failing axiom's witness.  Axioms 1-4, 5 (by building the tables)
-        and 7 are checked in validate's order; on finite roots axiom 6
-        follows from axioms 1, 2 and 5 (see below).  A passing validate on
-        finite roots leaves the tables here already.  Kept on the instance,
-        outside the dataclass fields: equality, hashing and replace()
-        ignore it.
+        axioms; otherwise raises InconsistentSchemeError naming the first
+        failing axiom of validate's report, as "axiom N FAIL (witness)".
+        A passing validate on finite roots leaves the tables here already.
+        Kept on the instance, outside the dataclass fields: equality,
+        hashing and replace() ignore it.
         """
         _require_roots(self)
         if self.status != FINITE:
             raise ValueError("operation requires finite root data, scheme is truncated")
-        for axiom, check in enumerate(_AXIOMS[:4], start=1):
-            _refuse(axiom, check(self))
-        tables = _build_root_tables(self)
-        if tables is None:
-            _refuse(5, _axiom5(self))
-        # Axiom 6 cannot fail here.  P = sigma_{i, i|>a} sigma_{i,a} is the
-        # identity plus a row-i update whose entry i is zero, so (P - I)^2 = 0:
-        # P is unipotent.  By axioms 1 and 5 it permutes the finite root set
-        # of a, which spans by axiom 2, so P has finite order.  A unipotent
-        # integer matrix of finite order is the identity: P^k = I + k(P - I).
-        _refuse(7, _axiom7(self, tables.rank_two))
+        report, tables = _checked(self)
+        for r in report.results:
+            if not r.passed:
+                raise InconsistentSchemeError(f"axiom {r.axiom} FAIL ({r.witness})")
         return tables
 
 
@@ -554,11 +545,13 @@ def _axiom5(s: RootGroupoidScheme) -> Iterator[str]:
 
 def _axiom6(s: RootGroupoidScheme) -> Iterator[str]:
     # sigma_{i, i|>a} sigma_{i,a} = id; both are involutions, so this holds
-    # exactly when they are equal
-    for i in range(s.rank):
+    # exactly when they are equal, that is when their coefficient vectors
+    # agree off entry i, which reflection_from_coefficients ignores
+    for i, per_object in enumerate(s.coefficients):
         for a in range(s.n_objects):
             back = s.action[i][a]
-            if reflection_matrix(s, i, back) != reflection_matrix(s, i, a):
+            c, d = per_object[a], per_object[back]
+            if c[:i] != d[:i] or c[i + 1 :] != d[i + 1 :]:
                 yield (
                     f"generator {_gen_label(i)}: reflections at {s.objects[a]} and "
                     f"{s.objects[back]} do not compose to the identity"
@@ -589,17 +582,6 @@ def _axiom7(s: RootGroupoidScheme, counts=None) -> Iterator[str]:
                     )
 
 
-_AXIOMS = (_axiom1, _axiom2, _axiom3, _axiom4, _axiom5, _axiom6, _axiom7)
-
-
-def _refuse(axiom: int, witnesses: Iterator[str]) -> None:
-    """Raise InconsistentSchemeError, worded as validate reports it, on the
-    axiom's first witness, if there is one."""
-    witness = next(witnesses, None)
-    if witness is not None:
-        raise InconsistentSchemeError(f"axiom {axiom} FAIL ({witness})")
-
-
 def validate(s: RootGroupoidScheme) -> ValidationReport:
     """Check the seven root-system axioms against the stored data.
 
@@ -610,20 +592,27 @@ def validate(s: RootGroupoidScheme) -> ValidationReport:
     of cases it covers: one per (generator, object) pair, one per stored
     root for axiom 3, and one per (generator pair, object) for axiom 7.
 
-    Axiom 5 is checked by building the root tables, as the root_tables
-    gate does, once axioms 2 and 3 hold.  When every axiom passes on
-    finite roots, those tables are kept as the scheme's root_tables, so
-    later reads do not check the axioms again.
+    The root_tables gate reads the same report and raises its first
+    failure.  When every axiom passes on finite roots, the tables built
+    for axiom 5 are kept as the scheme's root_tables, so later reads do
+    not check the axioms again.
     """
+    report, tables = _checked(s)
+    if s.status == FINITE and report.passed:
+        vars(s)["root_tables"] = tables
+    return report
+
+
+def _checked(s: RootGroupoidScheme) -> tuple[ValidationReport, RootTables | None]:
+    """validate's report, and the root tables if axioms 2, 3 and 5 pass:
+    axiom 5 is checked by building them, axiom 7 on their rank-two table."""
     _require_roots(s)
     per_pair = s.rank * s.n_objects
     n_roots = sum(len(pos) for pos in s.positive_roots)
     n_rank_two = math.comb(s.rank, 2) * s.n_objects
-    witnesses = [next(check(s), None) for check in _AXIOMS[:4]]
+    witnesses = [next(check(s), None) for check in (_axiom1, _axiom2, _axiom3, _axiom4)]
     # the tables need axioms 2 and 3: nonzero, sign-coherent stored halves
-    tables = None
-    if witnesses[1] is None and witnesses[2] is None:
-        tables = _build_root_tables(s)
+    tables = _build_root_tables(s) if witnesses[1] is None and witnesses[2] is None else None
     witnesses.append(None if tables is not None else next(_axiom5(s), None))
     witnesses.append(next(_axiom6(s), None))
     witnesses.append(next(_axiom7(s, None if tables is None else tables.rank_two), None))
@@ -632,9 +621,7 @@ def validate(s: RootGroupoidScheme) -> ValidationReport:
         AxiomResult(axiom, witness is None, count, witness)
         for axiom, (witness, count) in enumerate(zip(witnesses, checked), start=1)
     )
-    if s.status == FINITE and all(w is None for w in witnesses):
-        vars(s)["root_tables"] = tables
-    return ValidationReport(results)
+    return ValidationReport(results), tables
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -270,6 +271,24 @@ def test_export_dot(scheme_file, capsys):
     assert code == 0
     assert out.count(";") == 5 + 5  # five nodes, five labelled non-loop edges
     assert '"a" -- "c" [label="1"]' in out
+
+
+def test_export_dot_escapes_quotes_and_backslashes(tmp_path, capsys):
+    # the names a"b and c\ used to end their DOT IDs early: "a"b" -- "c\"
+    path = tmp_path / "names.json"
+    path.write_text(json.dumps({
+        "rank": 1, "objects": ['a"b', "c\\"], "action": [[1, 0]],
+        "coefficients": [[[-1], [-1]]], "mode": "prescribed", "roots": [[[1]], [[1]]],
+    }), encoding="utf-8")
+    code, out = run(capsys, "export-dot", "--scheme", str(path))
+    assert code == 0
+    assert out.splitlines() == [
+        "graph scheme {", '  "a\\"b";', '  "c\\\\";', '  "a\\"b" -- "c\\\\" [label="1"];', "}",
+    ]
+    # each quoted ID ends at its own closing quote, and unescaping it gives
+    # the object name back
+    ids = re.findall(r'"((?:[^"\\]|\\.)*)"', out.replace('[label="1"]', ""))
+    assert [re.sub(r"\\(.)", r"\1", x) for x in ids] == ['a"b', "c\\", 'a"b', "c\\"]
 
 
 def test_from_cartan_roundtrip(tmp_path, capsys):

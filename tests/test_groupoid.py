@@ -207,6 +207,34 @@ def test_length_refuses_inconsistent_roots(affine_file):
         wg.length(aff, g)
 
 
+E6 = (
+    (2, -1, 0, 0, 0, 0), (-1, 2, -1, 0, 0, 0), (0, -1, 2, -1, 0, -1),
+    (0, 0, -1, 2, -1, 0), (0, 0, 0, -1, 2, 0), (0, 0, -1, 0, 0, 2),
+)
+
+
+@pytest.mark.parametrize("call", [
+    wg.length, lambda s, g: wg.is_descent(s, g, 0), wg.canonical_reduced_word,
+], ids=["length", "is_descent", "canonical_reduced_word"])
+def test_element_queries_refuse_an_element_of_another_scheme(a2, ex5, call):
+    # w0 of E6 used to get length 3 on A2 and 10 on the example, and to
+    # have the descent 1 on both
+    w0 = wg.longest_element(wg.generate_roots(wg.from_cartan(E6), 40), 0)
+    for s in (a2, ex5):
+        with pytest.raises(ValueError, match=rf"^element matrix is not {s.rank} x {s.rank}$"):
+            call(s, w0)
+    # the right number of rows, each one entry too long
+    with pytest.raises(ValueError, match="^element matrix is not 2 x 2$"):
+        call(a2, wg.GroupoidElement(0, 0, ((1, 0, 0), (0, 1, 0))))
+    # the example's elements from and to its object e, asked of one-object
+    # A3: an out-of-range source used to raise IndexError, or give no descent
+    a3 = wg.generate_roots(wg.from_cartan(((2, -1, 0), (-1, 2, -1), (0, -1, 2))), 30)
+    for g in (wg.element_of_word(ex5, Word(E, (0,))), wg.element_of_word(ex5, Word(A, (1, 0)))):
+        assert E in (g.source, g.target)
+        with pytest.raises(ValueError, match=r"^object index 4 out of range 0\.\.0$"):
+            call(a3, g)
+
+
 def _fails_axiom_4_only(b2):
     """BC2 (B2 with the roots (0,2) and (2,2) added) and rank 1 with the
     roots (1) and (2); each fails axiom 4 and no other."""

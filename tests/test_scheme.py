@@ -648,10 +648,21 @@ def _axiom_6_by_dense_product(s):
     return None
 
 
+# A1 x A1 on two objects that both generators swap, built directly: the
+# unused entry coefficients[0][a][0] is 0 and coefficients[0][b][0] is -1,
+# and every other entry agrees, so the two reflections of generator 1 are
+# equal although their coefficient vectors are not
+UNUSED_ENTRY_A1A1 = wg.RootGroupoidScheme(
+    2, ("a", "b"), ((1, 0), (1, 0)), (((0, 0), (-1, 0)), ((0, -1), (0, -1))),
+    wg.PRESCRIBED, (((0, 1), (1, 0)),) * 2, wg.FINITE,
+)
+
+
 # on one object every reflection is its own opposite, so D4 cannot fail
-@pytest.mark.parametrize("name", ["BI3", "EX"])
+@pytest.mark.parametrize("name", ["BI3", "EX", "A1xA1 unused entry"])
 def test_axiom_6_matches_the_dense_product(name):
-    s = RESTRICT_SCHEMES[name]
+    s = {**RESTRICT_SCHEMES, "A1xA1 unused entry": UNUSED_ENTRY_A1A1}[name]
+    assert wg.validate(s).result(6).passed == (_axiom_6_by_dense_product(s) is None)
     failed = 0
     for i, a, j in itertools.product(range(s.rank), range(s.n_objects), range(s.rank)):
         coefficients = [[list(vec) for vec in per] for per in s.coefficients]
@@ -758,7 +769,8 @@ def test_root_tables_pass_exactly_when_validate_does():
 
 
 def test_axiom_6_fails_only_after_an_earlier_axiom():
-    # the gate skips axiom 6: on finite roots it follows from axioms 1, 2 and 5
+    # on finite roots axiom 6 follows from axioms 1, 2 and 5, so the gate,
+    # which raises validate's first failure, never names it
     reports = [wg.validate(dataclasses.replace(s)).results for s in _gate_pool()]
     failing_6 = [results for results in reports if not results[5].passed]
     assert failing_6
