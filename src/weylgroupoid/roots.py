@@ -4,7 +4,9 @@ Real roots are the images of simple roots under arbitrary reflection
 words; generation enumerates them breadth-first up to a height cutoff and
 certifies the result "finite" exactly when every reflection maps the
 computed sets onto each other, so a cutoff that is too small can never be
-mistaken for a complete system.
+mistaken for a complete system.  The sweep and its certificate run on the
+positive halves alone; they fall back to vectors of both signs when an
+action row is not a permutation or an image leaves the positive cone.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from .scheme import (
     TRUNCATED,
     RootGroupoidScheme,
     RootTables,
+    _outside_objects,
     _require_roots,
     check_generator,
     check_object,
@@ -55,26 +58,70 @@ def generate_roots(s: RootGroupoidScheme, cutoff: int) -> RootGroupoidScheme:
     until no vector is left to reflect.  Each vector's height travels with
     it in the worklist, and an image's height is tested before the image
     is built.  The returned scheme stores the positive halves and is
-    marked "finite" if no image was dropped, every reflection maps the
-    accumulated sets bijectively onto each other and each set is its
-    positive half together with the negatives, "truncated" otherwise;
-    the last two certificates are computed only when nothing was dropped.
+    marked "finite" if no image was dropped and every reflection joins
+    two sets of equal size, "truncated" otherwise.
+
+    When every action row is a permutation, the sweep runs over
+    nonnegative vectors only and skips the image -alpha_i of alpha_i.
+    The sweep over both signs would find these positive halves together
+    with their negatives (each -alpha_j is the image of alpha_j at the
+    preimage of its object under generator j, reflections are linear,
+    and v and -v have one height), so the result is the same, the
+    certificate is counted on the positive halves, and every set is sign
+    coherent by construction.  That argument needs every image but
+    -alpha_i to stay in the positive cone; when one leaves it, or when a
+    row is not a permutation, the sweep runs again over vectors of both
+    signs, and that result is finite only if, in addition, each set is
+    its positive half together with the negatives.  ValueError if an
+    action entry is not an object index.
     """
     if s.mode != GENERATED:
         raise ValueError("root generation applies to generated-mode schemes")
     if cutoff < 1:
         raise ValueError("cutoff must be at least 1")
+    outside = next(_outside_objects(s, range(s.rank)), None)
+    if outside is not None:
+        raise ValueError(outside)
 
-    found: list[set[Vector]] = [
-        {basis_vector(s.rank, j) for j in range(s.rank)} for _ in range(s.n_objects)
-    ]
     # per object, (i, i |> a, row i of the reflection matrix) for each generator
     steps = [
         [(i, s.action[i][a], c[:i] + (-1,) + c[i + 1 :])
          for i, c in enumerate(per[a] for per in s.coefficients)]
         for a in range(s.n_objects)
     ]
-    pending = [(a, r, 1) for a in range(s.n_objects) for r in found[a]]
+    permutes = all(len(set(row)) == s.n_objects for row in s.action)
+    swept = _sweep(steps, s.rank, cutoff, signed=False) if permutes else None
+    signed = swept is None
+    found, dropped = swept or _sweep(steps, s.rank, cutoff, signed=True)
+    if signed:
+        positive = tuple(tuple(sorted(v for v in vs if is_nonneg(v))) for vs in found)
+    else:
+        positive = tuple(tuple(sorted(vs)) for vs in found)
+    # With nothing dropped, every reflection maps found[a] into
+    # found[i |> a] (a positive half without alpha_i into one without
+    # alpha_i); reflections are injective, so equal sizes make it onto.
+    # They are invertible too, so no set holds the zero vector and a
+    # positive half is disjoint from its negatives: a signed set is the two
+    # together exactly when it holds every negative and has twice the size.
+    finite = (
+        not dropped
+        and all(len(found[a]) == len(found[b]) for row in s.action for a, b in enumerate(row))
+        and (not signed or all(
+            len(vs) == 2 * len(pos) and all(neg(r) in vs for r in pos)
+            for vs, pos in zip(found, positive)
+        ))
+    )
+    status = FINITE if finite else TRUNCATED
+    return replace(s, positive_roots=positive, status=status, cutoff=cutoff)
+
+
+def _sweep(steps, rank: int, cutoff: int, signed: bool) -> tuple[list[set[Vector]], bool] | None:
+    """generate_roots' worklist: the sets found and whether an image was
+    dropped by the cutoff.  Unless signed, it keeps nonnegative vectors
+    only: it skips alpha_i -> -alpha_i and returns None at the first other
+    image that leaves the positive cone."""
+    found = [{basis_vector(rank, j) for j in range(rank)} for _ in steps]
+    pending = [(a, r, 1) for a, vs in enumerate(found) for r in vs]
     dropped = False
     while pending:
         a, r, h = pending.pop()
@@ -85,27 +132,15 @@ def generate_roots(s: RootGroupoidScheme, cutoff: int) -> RootGroupoidScheme:
             if hx > cutoff:
                 dropped = True
                 continue
+            if x < 0 and not signed:
+                if h == r[i] == 1:  # r is alpha_i
+                    continue
+                return None
             v = r[:i] + (x,) + r[i + 1 :]
             if v not in found[target]:
                 found[target].add(v)
                 pending.append((target, v, hx))
-
-    positive = tuple(tuple(sorted(v for v in vs if is_nonneg(v))) for vs in found)
-    # With nothing dropped, every reflection maps found[a] into
-    # found[i |> a]; reflections are injective, so equal sizes make it onto.
-    # They are invertible too, so no set holds the zero vector and a
-    # positive half is disjoint from its negatives: a set is the two
-    # together exactly when it holds every negative and has twice the size.
-    finite = (
-        not dropped
-        and all(len(found[a]) == len(found[b]) for row in s.action for a, b in enumerate(row))
-        and all(
-            len(vs) == 2 * len(pos) and all(neg(r) in vs for r in pos)
-            for vs, pos in zip(found, positive)
-        )
-    )
-    status = FINITE if finite else TRUNCATED
-    return replace(s, positive_roots=positive, status=status, cutoff=cutoff)
+    return found, dropped
 
 
 def _require_two_generators(s: RootGroupoidScheme, i: int, j: int, a: int) -> RootTables | None:

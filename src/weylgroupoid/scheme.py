@@ -480,8 +480,25 @@ def _root_label(r: Vector) -> str:
     return "(" + ",".join(str(x) for x in r) + ")"
 
 
+def _outside_objects(s: RootGroupoidScheme, gens: Iterable[int]) -> Iterator[str]:
+    """Action entries of gens that are not object indices, by generator and
+    then object; only a directly built scheme can hold one."""
+    objects = range(s.n_objects)
+    for i in gens:
+        for a, b in enumerate(s.action[i]):
+            if b not in objects:
+                yield (
+                    f"generator {_gen_label(i)} sends object {s.objects[a]} to {b}, "
+                    f"which is not an object index"
+                )
+
+
 def _not_involutive(s: RootGroupoidScheme, gens: Iterable[int]) -> Iterator[str]:
     for i in gens:
+        outside = list(_outside_objects(s, [i]))
+        yield from outside
+        if outside:
+            continue  # the row cannot be read at its own entries
         for a in range(s.n_objects):
             if s.action[i][s.action[i][a]] != a:
                 yield f"generator {_gen_label(i)} is not involutive at object {s.objects[a]}"
@@ -611,11 +628,18 @@ def _checked(s: RootGroupoidScheme) -> tuple[ValidationReport, RootTables | None
     n_roots = sum(len(pos) for pos in s.positive_roots)
     n_rank_two = math.comb(s.rank, 2) * s.n_objects
     witnesses = [next(check(s), None) for check in (_axiom1, _axiom2, _axiom3, _axiom4)]
-    # the tables need axioms 2 and 3: nonzero, sign-coherent stored halves
-    tables = _build_root_tables(s) if witnesses[1] is None and witnesses[2] is None else None
-    witnesses.append(None if tables is not None else next(_axiom5(s), None))
-    witnesses.append(next(_axiom6(s), None))
-    witnesses.append(next(_axiom7(s, None if tables is None else tables.rank_two), None))
+    outside = next(_outside_objects(s, range(s.rank)), None)
+    tables = None
+    if outside is not None:
+        # axioms 5-7 follow every action entry to its target object
+        witnesses += [outside] * 3
+    else:
+        # the tables need axioms 2 and 3: nonzero, sign-coherent stored halves
+        if witnesses[1] is None and witnesses[2] is None:
+            tables = _build_root_tables(s)
+        witnesses.append(None if tables is not None else next(_axiom5(s), None))
+        witnesses.append(next(_axiom6(s), None))
+        witnesses.append(next(_axiom7(s, None if tables is None else tables.rank_two), None))
     checked = (per_pair, per_pair, n_roots, per_pair, per_pair, per_pair, n_rank_two)
     results = tuple(
         AxiomResult(axiom, witness is None, count, witness)

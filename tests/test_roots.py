@@ -132,6 +132,19 @@ def _re_reflection_certificate(s, cutoff):
     return positive, status
 
 
+# the chain 1-2-3-4-5-6-7 with 8 joined to 5
+E8 = (
+    (2, -1, 0, 0, 0, 0, 0, 0),
+    (-1, 2, -1, 0, 0, 0, 0, 0),
+    (0, -1, 2, -1, 0, 0, 0, 0),
+    (0, 0, -1, 2, -1, 0, 0, 0),
+    (0, 0, 0, -1, 2, -1, 0, -1),
+    (0, 0, 0, 0, -1, 2, -1, 0),
+    (0, 0, 0, 0, 0, -1, 2, 0),
+    (0, 0, 0, 0, -1, 0, 0, 2),
+)
+
+
 def _hand_built(action, coefficients, cutoff):
     s = wg.RootGroupoidScheme(
         rank=len(action), objects=tuple("abcd"[: len(action[0])]), action=action,
@@ -184,6 +197,16 @@ def _hand_built_schemes(draw):
 ))
 # affine A3, a rank-4 Cartan matrix of no finite type: truncated at 20
 @example((wg.from_cartan(((2, -1, 0, -1), (-1, 2, -1, 0), (0, -1, 2, -1), (-1, 0, -1, 2))), 20))
+# A2 on three objects that both generators cycle: finite, not involutive
+@example(_hand_built(((1, 2, 0), (2, 0, 1)), (((-1, 1),) * 3, ((1, -1),) * 3), 10))
+# alpha_1 + 2 alpha_2 = (2,1) reflects to (2,-1): the sweep over positive
+# vectors leaves the cone and runs again over both signs
+@example(_hand_built(((0,), (0,)), (((-1, 2),), ((0, -1),)), 12))
+# E8, whose highest root has height 29, and BI3, whose highest root at
+# object a has height 7
+@example((wg.from_cartan(E8), 28))
+@example((wg.from_cartan(E8), 29))
+@example((wg.from_bicharacter(((3, 2, 0), (0, 3, 2), (0, 0, 3)), 12, 6), 6))
 def test_worklist_certificate_matches_re_reflection(case):
     s, cutoff = case
     out = wg.generate_roots(s, cutoff)

@@ -719,6 +719,26 @@ def test_orbit_decomposition_refuses_a_non_involutive_action():
             call(s, (0,))
 
 
+@pytest.mark.parametrize("entry", [-1, 2])
+def test_action_entry_that_is_no_object_is_named(entry):
+    # built directly, since load_scheme refuses the entry: a negative one
+    # used to read the object counted from the end, one past the last
+    # object to raise IndexError
+    s = _scheme_of_action(((1, 0), (0, entry)))
+    witness = f"generator 2 sends object b to {entry}, which is not an object index"
+    report = wg.validate(s)
+    assert report.result(1) == AxiomResult(1, False, 4, witness)
+    # axioms 5-7 follow the action to its targets
+    assert [r.witness for r in report.results[4:]] == [witness] * 3
+    with pytest.raises(wg.InconsistentSchemeError, match=f"^{re.escape(f'axiom 1 FAIL ({witness})')}$"):
+        s.root_tables
+    with pytest.raises(ValueError, match=f"^{re.escape(witness)}$"):
+        wg.generate_roots(wg.strip_roots(s), 10)
+    for call in (orbit_decomposition, wg.restrict):
+        with pytest.raises(ValueError, match=f"^{re.escape(witness)}$"):
+            call(s, (1,))
+
+
 # ---------------------------------------------------------------------------
 # the root tables as the one gate
 
