@@ -608,6 +608,8 @@ def validate(s: RootGroupoidScheme) -> ValidationReport:
     object) order, never raised.  Each axiom's check count is the number
     of cases it covers: one per (generator, object) pair, one per stored
     root for axiom 3, and one per (generator pair, object) for axiom 7.
+    An action entry that is not an object index is axiom 1's witness,
+    and axioms 5-7, which follow the action, fail with it.
 
     The root_tables gate reads the same report and raises its first
     failure.  When every axiom passes on finite roots, the tables built
