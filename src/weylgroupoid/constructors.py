@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 
-from .intmat import Matrix, reflect_columns, transpose
+from .intmat import Matrix
 from .scheme import GENERATED, RootGroupoidScheme, _relabelled, _walk_objects
 
 GENERIC = "generic"
@@ -102,18 +102,23 @@ def from_bicharacter(
     of unity and exponent conditions are integer equalities).  ``cutoff``
     bounds the number of objects discovered before giving up.
 
-    Each object keeps the exponent matrix B of its first basis found.
-    The reflection at generator i has the matrix S of
-    reflection_from_coefficients, with coefficients read from
-    d_i = B[i][i] and s_ij = B[i][j] + B[j][i]; its target basis carries
-    the reflected bicharacter, exponent matrix S^T B S (formed by the
-    column kernel intmat.reflect_columns, reduced mod the order when
-    finite).  Objects are equivalence classes of bases under
-    the fingerprint of basis_fingerprint; discovery is breadth-first,
-    numbering objects by first appearance.  Raises NotArithmeticError
-    when some reflection coefficient has no finite value or some diagonal
-    exponent degenerates to zero, and ValueError when the object cutoff
-    is exceeded.
+    Each object is the fingerprint of basis_fingerprint of its bases:
+    the diagonal exponents d_j = B[j][j] and the symmetrized sums
+    s_jk = B[j][k] + B[k][j] (j < k) of an exponent matrix B.  The
+    reflection at generator i has the matrix S of
+    reflection_from_coefficients, with coefficients m_j read from d_i and
+    s_ij; its target basis carries the bicharacter of exponent matrix
+    S^T B S, whose fingerprint depends on B's alone.  Write
+    S e_j = e_j + w_j e_i, so w_j = m_j for j != i and w_i = -2, and
+    u_j = s_ij + m_j d_i for j != i, u_i = 0.  Then the target has
+    d'_j = d_j + w_j u_j and s'_jk = s_jk + w_k u_j + w_j u_k, that is
+    d'_i = d_i, d'_j = d_j + m_j u_j, s'_ij = -s_ij - 2 m_j d_i and
+    s'_jk = s_jk + m_k u_j + m_j u_k for j, k != i, reduced mod the order
+    when finite.  The dense product S^T B S lives on as the test oracle.
+    Discovery is breadth-first, numbering objects by first appearance.
+    Raises NotArithmeticError when some reflection coefficient has no
+    finite value or some diagonal exponent degenerates to zero, and
+    ValueError when the object cutoff is exceeded.
     """
     n = len(exponents)
     if n == 0 or any(len(row) != n for row in exponents):
@@ -123,13 +128,10 @@ def from_bicharacter(
     if cutoff < 1:
         raise ValueError("object cutoff must be at least 1")
 
-    def reduced(b: Matrix) -> Matrix:
-        return b if order is None else tuple(tuple(x % order for x in row) for row in b)
-
-    def fingerprint(b: Matrix) -> Fingerprint:
-        diag = [b[i][i] for i in range(n)]
-        sym = [b[i][j] + b[j][i] for i in range(n) for j in range(i + 1, n)]
-        return basis_fingerprint(diag, sym, order)
+    pairs = [(j, k) for j in range(n) for k in range(j + 1, n)]
+    slot = [[0] * n for _ in range(n)]  # slot[j][k]: position of s_jk in the sums
+    for p, (j, k) in enumerate(pairs):
+        slot[j][k] = slot[k][j] = p
 
     def check_diag(fp: Fingerprint, label: str) -> None:
         for i, d in enumerate(fp[0]):  # reduced mod a finite order
@@ -138,44 +140,48 @@ def from_bicharacter(
                     f"diagonal exponent of index {i + 1} is trivial at object {label}"
                 )
 
-    start = reduced(tuple(tuple(row) for row in exponents))
-    start_fp = fingerprint(start)
+    start_fp = basis_fingerprint(
+        [exponents[j][j] for j in range(n)],
+        [exponents[j][k] + exponents[k][j] for j, k in pairs],
+        order,
+    )
     check_diag(start_fp, "0")
 
     index_of: dict[Fingerprint, int] = {start_fp: 0}
-    bases: list[Matrix] = [start]
+    objects: list[Fingerprint] = [start_fp]
     action: list[list[int]] = [[] for _ in range(n)]
     coefficients: list[list[tuple[int, ...]]] = [[] for _ in range(n)]
 
-    pos = 0
-    while pos < len(bases):
-        b = bases[pos]
+    for pos, (diag, sym) in enumerate(objects):  # grows while walked
         for i in range(n):
+            d_i, at_i = diag[i], slot[i]
             coeff = []
             for j in range(n):
-                m = -1 if j == i else _coefficient(b[i][i], b[i][j] + b[j][i], order)
+                m = -1 if j == i else _coefficient(d_i, sym[at_i[j]], order)
                 if m is None:
                     raise NotArithmeticError(
                         f"not arithmetic at object {pos}, generator {i + 1}, index {j + 1}"
                     )
                 coeff.append(m)
-            # S^T B S = ((B S)^T S)^T
-            bs = reflect_columns(b, i, coeff)
-            target = reduced(transpose(reflect_columns(transpose(bs), i, coeff)))
-            target_fp = fingerprint(target)
+            w = coeff[:i] + [-2] + coeff[i + 1 :]
+            u = [0 if j == i else sym[at_i[j]] + m * d_i for j, m in enumerate(coeff)]
+            target_fp = basis_fingerprint(
+                [d + x * y for d, x, y in zip(diag, w, u)],
+                [s + w[k] * u[j] + w[j] * u[k] for (j, k), s in zip(pairs, sym)],
+                order,
+            )
             if target_fp not in index_of:
-                check_diag(target_fp, str(len(bases)))
-                if len(bases) == cutoff:
+                check_diag(target_fp, str(len(objects)))
+                if len(objects) == cutoff:
                     raise ValueError(f"object cutoff {cutoff} exceeded")
-                index_of[target_fp] = len(bases)
-                bases.append(target)
+                index_of[target_fp] = len(objects)
+                objects.append(target_fp)
             action[i].append(index_of[target_fp])
             coefficients[i].append(tuple(coeff))
-        pos += 1
 
     return RootGroupoidScheme(
         rank=n,
-        objects=tuple(str(k) for k in range(len(bases))),
+        objects=tuple(str(k) for k in range(len(objects))),
         action=tuple(tuple(row) for row in action),
         coefficients=tuple(tuple(per) for per in coefficients),
         mode=GENERATED,

@@ -23,8 +23,8 @@ from .scheme import (
     TRUNCATED,
     RootGroupoidScheme,
     RootTables,
-    _outside_objects,
     _require_roots,
+    _unreadable,
     check_generator,
     check_object,
     word_path,
@@ -72,16 +72,16 @@ def generate_roots(s: RootGroupoidScheme, cutoff: int) -> RootGroupoidScheme:
     -alpha_i to stay in the positive cone; when one leaves it, or when a
     row is not a permutation, the sweep runs again over vectors of both
     signs, and that result is finite only if, in addition, each set is
-    its positive half together with the negatives.  ValueError if an
-    action entry is not an object index.
+    its positive half together with the negatives.  ValueError if a
+    table has the wrong size or an action entry is not an object index.
     """
     if s.mode != GENERATED:
         raise ValueError("root generation applies to generated-mode schemes")
     if cutoff < 1:
         raise ValueError("cutoff must be at least 1")
-    outside = next(_outside_objects(s, range(s.rank)), None)
-    if outside is not None:
-        raise ValueError(outside)
+    unreadable = _unreadable(s)
+    if unreadable is not None:
+        raise ValueError(unreadable)
 
     # per object, (i, i |> a, row i of the reflection matrix) for each generator
     steps = [

@@ -24,6 +24,7 @@ import json
 import math
 from dataclasses import dataclass, replace
 from functools import cached_property
+from itertools import chain
 from typing import Iterable, Iterator, Sequence
 
 from .intmat import Matrix, Vector, basis_vector, is_nonneg, is_zero, neg, reflect_vector
@@ -290,6 +291,16 @@ def _as_int(value, where: str) -> int:
     return value
 
 
+def _as_ints(values: list, where) -> tuple[int, ...]:
+    """A JSON array of integers as a tuple, each entry k checked by _as_int
+    at location where(k); the location is formatted only for an entry that
+    fails, so a well-formed array costs one type test per entry."""
+    if not all(type(x) is int for x in values):
+        for k, x in enumerate(values):
+            _as_int(x, where(k))
+    return tuple(values)
+
+
 def load_scheme(text: str) -> RootGroupoidScheme:
     """Parse a scheme file (UTF-8 JSON).
 
@@ -350,7 +361,7 @@ def load_scheme(text: str) -> RootGroupoidScheme:
         for a, vec in enumerate(per_obj):
             if not isinstance(vec, list) or len(vec) != rank:
                 raise SchemeFormatError(f"coefficients[{i}][{a}]: expected {rank} integers")
-            vec = tuple(_as_int(x, f"coefficients[{i}][{a}][{j}]") for j, x in enumerate(vec))
+            vec = _as_ints(vec, lambda j: f"coefficients[{i}][{a}][{j}]")
             if vec[i] != -1:
                 raise SchemeFormatError(
                     f"coefficients[{i}][{a}][{i}]: unused entry must be -1 by convention"
@@ -384,7 +395,7 @@ def load_scheme(text: str) -> RootGroupoidScheme:
             for k, v in enumerate(vecs):
                 if not isinstance(v, list) or len(v) != rank:
                     raise SchemeFormatError(f"roots[{a}][{k}]: expected {rank} integers")
-                v = tuple(_as_int(x, f"roots[{a}][{k}]") for x in v)
+                v = _as_ints(v, lambda _: f"roots[{a}][{k}]")
                 if is_zero(v):
                     raise SchemeFormatError(f"roots[{a}][{k}]: roots must be nonzero")
                 if v in seen:
@@ -480,6 +491,36 @@ def _root_label(r: Vector) -> str:
     return "(" + ",".join(str(x) for x in r) + ")"
 
 
+def _misshapen(s: RootGroupoidScheme) -> Iterator[str]:
+    """Tables whose size is not the one that the rank and the object count
+    claim: the action rows, then the coefficient vectors; only a directly
+    built scheme can hold one."""
+    rank, n = s.rank, s.n_objects
+    if len(s.action) != rank:
+        yield f"the action has {len(s.action)} rows, not {rank}"
+    for i, row in enumerate(s.action[:rank]):
+        if len(row) != n:
+            yield f"the action row of generator {_gen_label(i)} has {len(row)} entries, not {n}"
+    if len(s.coefficients) != rank:
+        yield f"the coefficients have {len(s.coefficients)} rows, not {rank}"
+    for i, per_object in enumerate(s.coefficients[:rank]):
+        if len(per_object) != n:
+            yield f"generator {_gen_label(i)} has {len(per_object)} coefficient vectors, not {n}"
+        for a, c in enumerate(per_object[:n]):
+            if len(c) != rank:
+                yield (
+                    f"the coefficient vector of generator {_gen_label(i)} at object "
+                    f"{s.objects[a]} has {len(c)} entries, not {rank}"
+                )
+
+
+def _unreadable(s: RootGroupoidScheme) -> str | None:
+    """The first witness that the tables cannot be read as the scheme
+    claims: a table of the wrong size, else an action entry that is not an
+    object index."""
+    return next(chain(_misshapen(s), _outside_objects(s, range(s.rank))), None)
+
+
 def _outside_objects(s: RootGroupoidScheme, gens: Iterable[int]) -> Iterator[str]:
     """Action entries of gens that are not object indices, by generator and
     then object; only a directly built scheme can hold one."""
@@ -494,6 +535,10 @@ def _outside_objects(s: RootGroupoidScheme, gens: Iterable[int]) -> Iterator[str
 
 
 def _not_involutive(s: RootGroupoidScheme, gens: Iterable[int]) -> Iterator[str]:
+    shape = next(_misshapen(s), None)
+    if shape is not None:
+        yield shape  # no row can be read as the scheme claims
+        return
     for i in gens:
         outside = list(_outside_objects(s, [i]))
         yield from outside
@@ -608,8 +653,9 @@ def validate(s: RootGroupoidScheme) -> ValidationReport:
     object) order, never raised.  Each axiom's check count is the number
     of cases it covers: one per (generator, object) pair, one per stored
     root for axiom 3, and one per (generator pair, object) for axiom 7.
-    An action entry that is not an object index is axiom 1's witness,
-    and axioms 5-7, which follow the action, fail with it.
+    A table of the wrong size, or else an action entry that is not an
+    object index, is axiom 1's witness, and axioms 5-7, which read the
+    tables, fail with it.
 
     The root_tables gate reads the same report and raises its first
     failure.  When every axiom passes on finite roots, the tables built
@@ -630,11 +676,12 @@ def _checked(s: RootGroupoidScheme) -> tuple[ValidationReport, RootTables | None
     n_roots = sum(len(pos) for pos in s.positive_roots)
     n_rank_two = math.comb(s.rank, 2) * s.n_objects
     witnesses = [next(check(s), None) for check in (_axiom1, _axiom2, _axiom3, _axiom4)]
-    outside = next(_outside_objects(s, range(s.rank)), None)
+    unreadable = _unreadable(s)
     tables = None
-    if outside is not None:
-        # axioms 5-7 follow every action entry to its target object
-        witnesses += [outside] * 3
+    if unreadable is not None:
+        # axioms 5-7 read every coefficient vector and follow every action
+        # entry to its target object
+        witnesses += [unreadable] * 3
     else:
         # the tables need axioms 2 and 3: nonzero, sign-coherent stored halves
         if witnesses[1] is None and witnesses[2] is None:

@@ -240,9 +240,9 @@ def _exponent_matrices(draw):
     return exponents, order
 
 
-def _built(build, exponents, order):
+def _built(build, exponents, order, cutoff=12):
     try:
-        return build(exponents, 12, order)
+        return build(exponents, cutoff, order)
     except ValueError as e:
         return type(e), str(e)
 
@@ -254,6 +254,22 @@ def test_from_bicharacter_matches_dense_products(case):
     assert _built(from_bicharacter, exponents, order) == _built(
         _dense_from_bicharacter, exponents, order
     )
+
+
+@pytest.mark.parametrize("exponents, order", [
+    (((3, 2, 0), (0, 3, 2), (0, 0, 3)), 6),  # BI3
+    (((2, 2, 0, 0), (0, 2, 1, 0), (0, 0, 3, 1), (0, 0, 0, 3)), 4),  # BI4
+    (A2, None),
+], ids=["BI3", "BI4", "A2"])
+def test_from_bicharacter_matches_dense_products_at_every_object_cutoff(exponents, order):
+    n_objects = from_bicharacter(exponents, 12, order).n_objects
+    for cutoff in range(1, n_objects + 2):
+        built = _built(from_bicharacter, exponents, order, cutoff)
+        assert built == _built(_dense_from_bicharacter, exponents, order, cutoff)
+        if cutoff < n_objects:
+            assert built == (ValueError, f"object cutoff {cutoff} exceeded")
+        else:
+            assert built.n_objects == n_objects
 
 
 def test_fingerprint_is_permutation_sensitive_but_stable():

@@ -739,6 +739,45 @@ def test_action_entry_that_is_no_object_is_named(entry):
             call(s, (1,))
 
 
+MISSHAPEN_CASES = [
+    # an action row shorter than the objects: generate_roots and validate
+    # used to raise IndexError
+    (1, "ab", ((0,),), (((-1,), (-1,)),), "the action row of generator 1 has 1 entries, not 2"),
+    # a coefficient vector shorter than the rank: read as if padded, it
+    # used to generate the A2 roots as finite, and validate to raise IndexError
+    (2, "a", ((0,), (0,)), (((-1, 1),), ((1,),)),
+     "the coefficient vector of generator 2 at object a has 1 entries, not 2"),
+    (2, "a", ((0,),), (((-1, 1),), ((1, -1),)), "the action has 1 rows, not 2"),
+    (2, "a", ((0,), (0,)), (((-1, 1),),), "the coefficients have 1 rows, not 2"),
+    (1, "ab", ((1, 0),), (((-1,),),), "generator 1 has 1 coefficient vectors, not 2"),
+]
+
+
+@pytest.mark.parametrize(
+    "rank, objects, action, coefficients, witness", MISSHAPEN_CASES,
+    ids=["short-action-row", "short-coefficient-vector", "action-rows", "coefficient-rows",
+         "coefficient-vectors"],
+)
+def test_table_of_the_wrong_size_is_named(rank, objects, action, coefficients, witness):
+    # built directly, since load_scheme refuses such tables
+    generated = wg.RootGroupoidScheme(rank, tuple(objects), action, coefficients, wg.GENERATED)
+    with pytest.raises(ValueError, match=f"^{re.escape(witness)}$"):
+        wg.generate_roots(generated, 10)
+    s = dataclasses.replace(
+        generated, mode=wg.PRESCRIBED, status=wg.FINITE,
+        positive_roots=(tuple(basis_vector(rank, j) for j in reversed(range(rank))),) * len(objects),
+    )
+    report = wg.validate(s)
+    assert report.result(1) == AxiomResult(1, False, rank * len(objects), witness)
+    # axioms 5-7 read the tables
+    assert [r.witness for r in report.results[4:]] == [witness] * 3
+    with pytest.raises(wg.InconsistentSchemeError, match=f"^{re.escape(f'axiom 1 FAIL ({witness})')}$"):
+        s.root_tables
+    for call in (orbit_decomposition, wg.restrict):
+        with pytest.raises(ValueError, match=f"^{re.escape(witness)}$"):
+            call(s, (0,))
+
+
 # ---------------------------------------------------------------------------
 # the root tables as the one gate
 
