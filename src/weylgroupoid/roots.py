@@ -24,7 +24,6 @@ from .scheme import (
     RootGroupoidScheme,
     RootTables,
     _require_roots,
-    _unreadable,
     check_generator,
     check_object,
     word_path,
@@ -72,16 +71,14 @@ def generate_roots(s: RootGroupoidScheme, cutoff: int) -> RootGroupoidScheme:
     -alpha_i to stay in the positive cone; when one leaves it, or when a
     row is not a permutation, the sweep runs again over vectors of both
     signs, and that result is finite only if, in addition, each set is
-    its positive half together with the negatives.  ValueError if a
-    table has the wrong size or an action entry is not an object index.
+    its positive half together with the negatives.  The constructor has
+    checked the shape of the tables, and the axioms are validate's to
+    check.
     """
     if s.mode != GENERATED:
         raise ValueError("root generation applies to generated-mode schemes")
     if cutoff < 1:
         raise ValueError("cutoff must be at least 1")
-    unreadable = _unreadable(s)
-    if unreadable is not None:
-        raise ValueError(unreadable)
 
     # per object, (i, i |> a, row i of the reflection matrix) for each generator
     steps = [

@@ -13,6 +13,10 @@ of an object is implicitly the union of the stored half and its negative.
 Schemes are immutable; operations that "fill in" data (root generation)
 return a new scheme.
 
+A scheme's shape is checked once, when it is constructed, so every table
+reads as the rank and the object count claim; the root-system axioms are
+checked by validate().
+
 Generators and objects are 0-based integers throughout the API.  Witness
 strings in validation reports use 1-based generator labels and object
 names, matching the command-line convention.
@@ -24,7 +28,6 @@ import json
 import math
 from dataclasses import dataclass, replace
 from functools import cached_property
-from itertools import chain
 from typing import Iterable, Iterator, Sequence
 
 from .intmat import Matrix, Vector, basis_vector, is_nonneg, is_zero, neg, reflect_vector
@@ -35,13 +38,15 @@ from .intmat import mat_mul, mat_vec  # noqa: E402,F401
 
 PRESCRIBED = "prescribed"
 GENERATED = "generated"
+_MODES = (PRESCRIBED, GENERATED)
 
 FINITE = "finite"
 TRUNCATED = "truncated"
 
 
 class SchemeFormatError(ValueError):
-    """A scheme file is malformed; the message names the offending field."""
+    """A scheme or its file is malformed; the message names the offending
+    field as it appears in the file."""
 
 
 class InconsistentSchemeError(ValueError):
@@ -67,6 +72,15 @@ class RootGroupoidScheme:
                       complete, "truncated" when generation hit its height
                       cutoff, None when no roots are stored
       cutoff          height bound used at generation time, if any
+
+    Construction checks the shape of these fields and nothing else, so no
+    misshapen scheme exists: a rank of at least 1; at least one object
+    name, all distinct; a known mode; rank action rows of one object index
+    per object; rank by n_objects coefficient vectors of rank entries; one
+    root set per object, of vectors with rank entries; root sets in
+    prescribed mode, and a status exactly when root sets are stored.  The
+    first fault raises SchemeFormatError, worded as load_scheme words it in
+    a file.  Whether the data satisfies the axioms is validate's question.
     """
 
     rank: int
@@ -77,6 +91,57 @@ class RootGroupoidScheme:
     positive_roots: tuple[tuple[Vector, ...], ...] | None = None
     status: str | None = None
     cutoff: int | None = None
+
+    def __post_init__(self) -> None:
+        rank, names, roots = self.rank, self.objects, self.positive_roots
+        n = len(names)
+        if rank < 1:
+            raise SchemeFormatError("rank: must be at least 1")
+        if not n:
+            raise SchemeFormatError("objects: expected a nonempty array of strings")
+        if len(set(names)) != n:
+            dup = next(x for k, x in enumerate(names) if x in names[:k])
+            raise SchemeFormatError(f"objects: duplicate object name {dup!r}")
+        if self.mode not in _MODES:
+            raise SchemeFormatError(f"mode: expected one of {_MODES}, got {self.mode!r}")
+        if len(self.action) != rank:
+            raise SchemeFormatError(f"action: expected {rank} rows")
+        for i, row in enumerate(self.action):
+            if len(row) != n:
+                raise SchemeFormatError(f"action[{i}]: expected {n} entries")
+            if min(row) < 0 or max(row) >= n:
+                # no entry equal to the first misfit comes before it, so
+                # index() finds its position; likewise below
+                t = next(t for t in row if not 0 <= t < n)
+                a = row.index(t)
+                raise SchemeFormatError(f"action[{i}][{a}]: object index {t} out of range")
+        if len(self.coefficients) != rank:
+            raise SchemeFormatError(f"coefficients: expected {rank} rows")
+        for i, per_object in enumerate(self.coefficients):
+            if len(per_object) != n:
+                raise SchemeFormatError(f"coefficients[{i}]: expected {n} entries")
+            for c in per_object:
+                if len(c) != rank:
+                    a = per_object.index(c)
+                    raise SchemeFormatError(f"coefficients[{i}][{a}]: expected {rank} integers")
+        if roots is None:
+            if self.mode == PRESCRIBED:
+                raise SchemeFormatError("roots: required in prescribed mode")
+            if self.status is not None:
+                raise SchemeFormatError(
+                    f"status: must be None without root sets, got {self.status!r}"
+                )
+            return
+        if len(roots) != n:
+            raise SchemeFormatError(f"roots: expected {n} per-object arrays")
+        for a, pos in enumerate(roots):
+            for r in pos:
+                if len(r) != rank:
+                    raise SchemeFormatError(f"roots[{a}][{pos.index(r)}]: expected {rank} integers")
+        if self.status not in (FINITE, TRUNCATED):
+            raise SchemeFormatError(
+                f"status: expected one of {(FINITE, TRUNCATED)} with root sets, got {self.status!r}"
+            )
 
     @property
     def n_objects(self) -> int:
@@ -282,8 +347,6 @@ def full_root_set(s: RootGroupoidScheme, a: int) -> frozenset[Vector]:
 # ---------------------------------------------------------------------------
 # file format
 
-_MODES = (PRESCRIBED, GENERATED)
-
 
 def _as_int(value, where: str) -> int:
     if not isinstance(value, int) or isinstance(value, bool):
@@ -291,12 +354,22 @@ def _as_int(value, where: str) -> int:
     return value
 
 
-def _as_ints(values: list, where) -> tuple[int, ...]:
-    """A JSON array of integers as a tuple, each entry k checked by _as_int
-    at location where(k); the location is formatted only for an entry that
-    fails, so a well-formed array costs one type test per entry."""
-    if not all(type(x) is int for x in values):
-        for k, x in enumerate(values):
+def _array(value) -> list:
+    """A JSON array as it is, any other value as an empty array.  Each table
+    in a scheme has at least one entry, so the constructor then refuses an
+    empty one by naming how many entries it should have."""
+    return value if isinstance(value, list) else []
+
+
+def _as_ints(values, where) -> tuple[int, ...]:
+    """A JSON array of integers as a tuple (any other value as an empty one,
+    as _array reads it), each entry k checked by _as_int at location
+    where(k); the location is formatted only for an entry that fails, so a
+    well-formed array costs one type test per entry."""
+    if not isinstance(values, list):
+        return ()
+    for k, x in enumerate(values):
+        if type(x) is not int:
             _as_int(x, where(k))
     return tuple(values)
 
@@ -304,9 +377,13 @@ def _as_ints(values: list, where) -> tuple[int, ...]:
 def load_scheme(text: str) -> RootGroupoidScheme:
     """Parse a scheme file (UTF-8 JSON).
 
-    Structural checks only: table dimensions, index ranges, involutivity
-    of the action, nonnegative coefficients, well-formed root vectors.
-    The root-system axioms are checked separately by validate().
+    Checks the JSON types here, then builds the scheme, whose constructor
+    checks table dimensions and index ranges, then checks the rules on
+    values: an involutive action, -1 at each coefficient vector's unused
+    entry and nonnegative entries elsewhere, and per object nonzero,
+    distinct roots that include the simple ones.  Positions in messages are
+    those in the file; each root set is sorted last.  The root-system
+    axioms are checked separately by validate().
     """
     try:
         data = json.loads(text)
@@ -320,108 +397,79 @@ def load_scheme(text: str) -> RootGroupoidScheme:
             raise SchemeFormatError(f"missing field {field!r}")
 
     rank = _as_int(data["rank"], "rank")
-    if rank < 1:
-        raise SchemeFormatError("rank: must be at least 1")
-
     names = data["objects"]
-    if not isinstance(names, list) or not names or not all(isinstance(x, str) for x in names):
+    if not isinstance(names, list) or not all(isinstance(x, str) for x in names):
         raise SchemeFormatError("objects: expected a nonempty array of strings")
-    if len(set(names)) != len(names):
-        dup = next(x for i, x in enumerate(names) if x in names[:i])
-        raise SchemeFormatError(f"objects: duplicate object name {dup!r}")
-    nobj = len(names)
+    action = tuple(
+        _as_ints(row, lambda a: f"action[{i}][{a}]")
+        for i, row in enumerate(_array(data["action"]))
+    )
+    coefficients = tuple(
+        tuple(
+            _as_ints(vec, lambda j: f"coefficients[{i}][{a}][{j}]")
+            for a, vec in enumerate(_array(per_object))
+        )
+        for i, per_object in enumerate(_array(data["coefficients"]))
+    )
+    mode = data["mode"]
+    roots = None
+    if mode == PRESCRIBED and "roots" in data:
+        roots = []
+        for a, vecs in enumerate(_array(data["roots"])):
+            if not isinstance(vecs, list):
+                raise SchemeFormatError(f"roots[{a}]: expected an array of vectors")
+            roots.append(tuple(
+                _as_ints(v, lambda _: f"roots[{a}][{k}]") for k, v in enumerate(vecs)
+            ))
+        roots = tuple(roots)
 
-    action_raw = data["action"]
-    if not isinstance(action_raw, list) or len(action_raw) != rank:
-        raise SchemeFormatError(f"action: expected {rank} rows")
-    action = []
-    for i, row in enumerate(action_raw):
-        if not isinstance(row, list) or len(row) != nobj:
-            raise SchemeFormatError(f"action[{i}]: expected {nobj} entries")
+    s = RootGroupoidScheme(
+        rank=rank,
+        objects=tuple(names),
+        action=action,
+        coefficients=coefficients,
+        mode=mode,
+        positive_roots=roots,
+        status=None if roots is None else FINITE,
+    )
+
+    for i, row in enumerate(action):
         for a, t in enumerate(row):
-            t = _as_int(t, f"action[{i}][{a}]")
-            if not 0 <= t < nobj:
-                raise SchemeFormatError(f"action[{i}][{a}]: object index {t} out of range")
-        action.append(tuple(row))
-    for i in range(rank):
-        for a in range(nobj):
-            if action[i][action[i][a]] != a:
+            if row[t] != a:
                 raise SchemeFormatError(
                     f"action[{i}][{a}]: generator action is not involutive at object {names[a]!r}"
                 )
-
-    coeff_raw = data["coefficients"]
-    if not isinstance(coeff_raw, list) or len(coeff_raw) != rank:
-        raise SchemeFormatError(f"coefficients: expected {rank} rows")
-    coefficients = []
-    for i, per_obj in enumerate(coeff_raw):
-        if not isinstance(per_obj, list) or len(per_obj) != nobj:
-            raise SchemeFormatError(f"coefficients[{i}]: expected {nobj} entries")
-        rows = []
-        for a, vec in enumerate(per_obj):
-            if not isinstance(vec, list) or len(vec) != rank:
-                raise SchemeFormatError(f"coefficients[{i}][{a}]: expected {rank} integers")
-            vec = _as_ints(vec, lambda j: f"coefficients[{i}][{a}][{j}]")
+    for i, per_object in enumerate(coefficients):
+        for a, vec in enumerate(per_object):
             if vec[i] != -1:
                 raise SchemeFormatError(
                     f"coefficients[{i}][{a}][{i}]: unused entry must be -1 by convention"
                 )
-            for j, c in enumerate(vec):
-                if j != i and c < 0:
-                    raise SchemeFormatError(
-                        f"coefficients[{i}][{a}][{j}]: reflection coefficients must be nonnegative"
-                    )
-            rows.append(vec)
-        coefficients.append(tuple(rows))
-
-    mode = data["mode"]
-    if mode not in _MODES:
-        raise SchemeFormatError(f"mode: expected one of {_MODES}, got {mode!r}")
-
-    positive_roots = None
-    status = None
-    if mode == PRESCRIBED:
-        if "roots" not in data:
-            raise SchemeFormatError("roots: required in prescribed mode")
-        roots_raw = data["roots"]
-        if not isinstance(roots_raw, list) or len(roots_raw) != nobj:
-            raise SchemeFormatError(f"roots: expected {nobj} per-object arrays")
-        per_object = []
-        for a, vecs in enumerate(roots_raw):
-            if not isinstance(vecs, list):
-                raise SchemeFormatError(f"roots[{a}]: expected an array of vectors")
-            seen = set()
-            rows = []
-            for k, v in enumerate(vecs):
-                if not isinstance(v, list) or len(v) != rank:
-                    raise SchemeFormatError(f"roots[{a}][{k}]: expected {rank} integers")
-                v = _as_ints(v, lambda _: f"roots[{a}][{k}]")
-                if is_zero(v):
-                    raise SchemeFormatError(f"roots[{a}][{k}]: roots must be nonzero")
-                if v in seen:
-                    raise SchemeFormatError(f"roots[{a}][{k}]: duplicate root {list(v)}")
-                seen.add(v)
-                rows.append(v)
-            for j in range(rank):
-                if basis_vector(rank, j) not in seen:
-                    raise SchemeFormatError(
-                        f"roots[{a}]: missing simple root {j + 1} of object {names[a]!r}"
-                    )
-            per_object.append(tuple(sorted(rows)))
-        positive_roots = tuple(per_object)
-        status = FINITE
-    elif "roots" in data and data["roots"] is not None:
-        raise SchemeFormatError("roots: must be absent in generated mode")
-
-    return RootGroupoidScheme(
-        rank=rank,
-        objects=tuple(names),
-        action=tuple(action),
-        coefficients=tuple(coefficients),
-        mode=mode,
-        positive_roots=positive_roots,
-        status=status,
-    )
+            if min(vec) < -1 or vec.count(-1) > 1:  # a negative entry besides i
+                j = next(j for j, c in enumerate(vec) if j != i and c < 0)
+                raise SchemeFormatError(
+                    f"coefficients[{i}][{a}][{j}]: reflection coefficients must be nonnegative"
+                )
+    if mode == GENERATED:
+        if data.get("roots") is not None:
+            raise SchemeFormatError("roots: must be absent in generated mode")
+        return s
+    simple = [basis_vector(rank, j) for j in range(rank)]
+    for a, vecs in enumerate(roots):
+        seen = set()
+        for k, v in enumerate(vecs):
+            if not any(v):
+                raise SchemeFormatError(f"roots[{a}][{k}]: roots must be nonzero")
+            if v in seen:
+                raise SchemeFormatError(f"roots[{a}][{k}]: duplicate root {list(v)}")
+            seen.add(v)
+        for j, e in enumerate(simple):
+            if e not in seen:
+                raise SchemeFormatError(
+                    f"roots[{a}]: missing simple root {j + 1} of object {names[a]!r}"
+                )
+    ordered = tuple(tuple(sorted(vecs)) for vecs in roots)
+    return s if ordered == roots else replace(s, positive_roots=ordered)
 
 
 def save_scheme(s: RootGroupoidScheme) -> str:
@@ -434,8 +482,6 @@ def save_scheme(s: RootGroupoidScheme) -> str:
         "mode": s.mode,
     }
     if s.mode == PRESCRIBED:
-        if s.positive_roots is None:
-            raise ValueError("prescribed scheme has no root sets to save")
         doc["roots"] = [[list(r) for r in sorted(pos)] for pos in s.positive_roots]
     return json.dumps(doc, indent=2) + "\n"
 
@@ -491,59 +537,8 @@ def _root_label(r: Vector) -> str:
     return "(" + ",".join(str(x) for x in r) + ")"
 
 
-def _misshapen(s: RootGroupoidScheme) -> Iterator[str]:
-    """Tables whose size is not the one that the rank and the object count
-    claim: the action rows, then the coefficient vectors; only a directly
-    built scheme can hold one."""
-    rank, n = s.rank, s.n_objects
-    if len(s.action) != rank:
-        yield f"the action has {len(s.action)} rows, not {rank}"
-    for i, row in enumerate(s.action[:rank]):
-        if len(row) != n:
-            yield f"the action row of generator {_gen_label(i)} has {len(row)} entries, not {n}"
-    if len(s.coefficients) != rank:
-        yield f"the coefficients have {len(s.coefficients)} rows, not {rank}"
-    for i, per_object in enumerate(s.coefficients[:rank]):
-        if len(per_object) != n:
-            yield f"generator {_gen_label(i)} has {len(per_object)} coefficient vectors, not {n}"
-        for a, c in enumerate(per_object[:n]):
-            if len(c) != rank:
-                yield (
-                    f"the coefficient vector of generator {_gen_label(i)} at object "
-                    f"{s.objects[a]} has {len(c)} entries, not {rank}"
-                )
-
-
-def _unreadable(s: RootGroupoidScheme) -> str | None:
-    """The first witness that the tables cannot be read as the scheme
-    claims: a table of the wrong size, else an action entry that is not an
-    object index."""
-    return next(chain(_misshapen(s), _outside_objects(s, range(s.rank))), None)
-
-
-def _outside_objects(s: RootGroupoidScheme, gens: Iterable[int]) -> Iterator[str]:
-    """Action entries of gens that are not object indices, by generator and
-    then object; only a directly built scheme can hold one."""
-    objects = range(s.n_objects)
-    for i in gens:
-        for a, b in enumerate(s.action[i]):
-            if b not in objects:
-                yield (
-                    f"generator {_gen_label(i)} sends object {s.objects[a]} to {b}, "
-                    f"which is not an object index"
-                )
-
-
 def _not_involutive(s: RootGroupoidScheme, gens: Iterable[int]) -> Iterator[str]:
-    shape = next(_misshapen(s), None)
-    if shape is not None:
-        yield shape  # no row can be read as the scheme claims
-        return
     for i in gens:
-        outside = list(_outside_objects(s, [i]))
-        yield from outside
-        if outside:
-            continue  # the row cannot be read at its own entries
         for a in range(s.n_objects):
             if s.action[i][s.action[i][a]] != a:
                 yield f"generator {_gen_label(i)} is not involutive at object {s.objects[a]}"
@@ -653,9 +648,9 @@ def validate(s: RootGroupoidScheme) -> ValidationReport:
     object) order, never raised.  Each axiom's check count is the number
     of cases it covers: one per (generator, object) pair, one per stored
     root for axiom 3, and one per (generator pair, object) for axiom 7.
-    A table of the wrong size, or else an action entry that is not an
-    object index, is axiom 1's witness, and axioms 5-7, which read the
-    tables, fail with it.
+    Every axiom is checked on every scheme: the constructor has already
+    refused data of the wrong shape, so each table reads as the scheme
+    claims.
 
     The root_tables gate reads the same report and raises its first
     failure.  When every axiom passes on finite roots, the tables built
@@ -676,19 +671,13 @@ def _checked(s: RootGroupoidScheme) -> tuple[ValidationReport, RootTables | None
     n_roots = sum(len(pos) for pos in s.positive_roots)
     n_rank_two = math.comb(s.rank, 2) * s.n_objects
     witnesses = [next(check(s), None) for check in (_axiom1, _axiom2, _axiom3, _axiom4)]
-    unreadable = _unreadable(s)
+    # the tables need axioms 2 and 3: nonzero, sign-coherent stored halves
     tables = None
-    if unreadable is not None:
-        # axioms 5-7 read every coefficient vector and follow every action
-        # entry to its target object
-        witnesses += [unreadable] * 3
-    else:
-        # the tables need axioms 2 and 3: nonzero, sign-coherent stored halves
-        if witnesses[1] is None and witnesses[2] is None:
-            tables = _build_root_tables(s)
-        witnesses.append(None if tables is not None else next(_axiom5(s), None))
-        witnesses.append(next(_axiom6(s), None))
-        witnesses.append(next(_axiom7(s, None if tables is None else tables.rank_two), None))
+    if witnesses[1] is None and witnesses[2] is None:
+        tables = _build_root_tables(s)
+    witnesses.append(None if tables is not None else next(_axiom5(s), None))
+    witnesses.append(next(_axiom6(s), None))
+    witnesses.append(next(_axiom7(s, None if tables is None else tables.rank_two), None))
     checked = (per_pair, per_pair, n_roots, per_pair, per_pair, per_pair, n_rank_two)
     results = tuple(
         AxiomResult(axiom, witness is None, count, witness)
@@ -779,9 +768,9 @@ def restrict(s: RootGroupoidScheme, subset: Iterable[int]) -> list[RootGroupoidS
                 objects=tuple(s.objects[a] for a in orbit),
                 action=action,
                 coefficients=coefficients,
-                mode=s.mode if positive_roots is not None else GENERATED,
+                mode=s.mode,
                 positive_roots=positive_roots,
-                status=None if positive_roots is None else s.status,
+                status=s.status,
                 cutoff=s.cutoff,
             )
         )

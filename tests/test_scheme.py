@@ -151,11 +151,6 @@ def test_load_names_each_format_error(change, message):
         wg.load_scheme(json.dumps(doc))
 
 
-def test_save_rejects_prescribed_scheme_without_roots(ex5):
-    with pytest.raises(ValueError, match="prescribed scheme has no root sets to save"):
-        wg.save_scheme(dataclasses.replace(ex5, positive_roots=None))
-
-
 # ---------------------------------------------------------------------------
 # action and theta
 
@@ -271,7 +266,7 @@ def test_theta_raises_when_the_orbit_does_not_return():
     # generator 2 sends b to a and a to a, so (r_1 r_2)^m(b) = a for all m >= 1
     s = wg.RootGroupoidScheme(
         rank=2, objects=("a", "b"), action=((0, 1), (0, 0)),
-        coefficients=(((-1, 0),) * 2, ((0, -1),) * 2), mode=wg.PRESCRIBED,
+        coefficients=(((-1, 0),) * 2, ((0, -1),) * 2), mode=wg.GENERATED,
     )
     with pytest.raises(RuntimeError, match="did not close"):
         wg.theta(s, 0, 1, 1)
@@ -719,63 +714,74 @@ def test_orbit_decomposition_refuses_a_non_involutive_action():
             call(s, (0,))
 
 
-@pytest.mark.parametrize("entry", [-1, 2])
-def test_action_entry_that_is_no_object_is_named(entry):
-    # built directly, since load_scheme refuses the entry: a negative one
-    # used to read the object counted from the end, one past the last
-    # object to raise IndexError
-    s = _scheme_of_action(((1, 0), (0, entry)))
-    witness = f"generator 2 sends object b to {entry}, which is not an object index"
-    report = wg.validate(s)
-    assert report.result(1) == AxiomResult(1, False, 4, witness)
-    # axioms 5-7 follow the action to its targets
-    assert [r.witness for r in report.results[4:]] == [witness] * 3
-    with pytest.raises(wg.InconsistentSchemeError, match=f"^{re.escape(f'axiom 1 FAIL ({witness})')}$"):
-        s.root_tables
-    with pytest.raises(ValueError, match=f"^{re.escape(witness)}$"):
-        wg.generate_roots(wg.strip_roots(s), 10)
-    for call in (orbit_decomposition, wg.restrict):
-        with pytest.raises(ValueError, match=f"^{re.escape(witness)}$"):
-            call(s, (1,))
-
-
-MISSHAPEN_CASES = [
-    # an action row shorter than the objects: generate_roots and validate
-    # used to raise IndexError
-    (1, "ab", ((0,),), (((-1,), (-1,)),), "the action row of generator 1 has 1 entries, not 2"),
-    # a coefficient vector shorter than the rank: read as if padded, it
-    # used to generate the A2 roots as finite, and validate to raise IndexError
-    (2, "a", ((0,), (0,)), (((-1, 1),), ((1,),)),
-     "the coefficient vector of generator 2 at object a has 1 entries, not 2"),
-    (2, "a", ((0,),), (((-1, 1),), ((1, -1),)), "the action has 1 rows, not 2"),
-    (2, "a", ((0,), (0,)), (((-1, 1),),), "the coefficients have 1 rows, not 2"),
-    (1, "ab", ((1, 0),), (((-1,),),), "generator 1 has 1 coefficient vectors, not 2"),
-]
-
-
-@pytest.mark.parametrize(
-    "rank, objects, action, coefficients, witness", MISSHAPEN_CASES,
-    ids=["short-action-row", "short-coefficient-vector", "action-rows", "coefficient-rows",
-         "coefficient-vectors"],
+# A2 at two objects that generator 2 swaps, with its roots stored
+A2_SWAPPED = dict(
+    rank=2, objects=("a", "b"), action=((0, 1), (1, 0)),
+    coefficients=(((-1, 1),) * 2, ((1, -1),) * 2), mode=wg.PRESCRIBED,
+    positive_roots=(((0, 1), (1, 0), (1, 1)),) * 2, status=wg.FINITE,
 )
-def test_table_of_the_wrong_size_is_named(rank, objects, action, coefficients, witness):
-    # built directly, since load_scheme refuses such tables
-    generated = wg.RootGroupoidScheme(rank, tuple(objects), action, coefficients, wg.GENERATED)
-    with pytest.raises(ValueError, match=f"^{re.escape(witness)}$"):
-        wg.generate_roots(generated, 10)
-    s = dataclasses.replace(
-        generated, mode=wg.PRESCRIBED, status=wg.FINITE,
-        positive_roots=(tuple(basis_vector(rank, j) for j in reversed(range(rank))),) * len(objects),
-    )
-    report = wg.validate(s)
-    assert report.result(1) == AxiomResult(1, False, rank * len(objects), witness)
-    # axioms 5-7 read the tables
-    assert [r.witness for r in report.results[4:]] == [witness] * 3
-    with pytest.raises(wg.InconsistentSchemeError, match=f"^{re.escape(f'axiom 1 FAIL ({witness})')}$"):
-        s.root_tables
-    for call in (orbit_decomposition, wg.restrict):
-        with pytest.raises(ValueError, match=f"^{re.escape(witness)}$"):
-            call(s, (0,))
+
+# field changes to A2_SWAPPED that misshape it, and the fault that
+# construction names
+MISSHAPEN_CASES = {
+    "short-action-row": (dict(action=((0, 1), (1,))), "action[1]: expected 2 entries"),
+    "short-coefficient-vector": (
+        dict(coefficients=(((-1, 1),) * 2, ((1, -1), (1,)))),
+        "coefficients[1][1]: expected 2 integers",
+    ),
+    "action-rows": (dict(action=((0, 1),)), "action: expected 2 rows"),
+    "coefficient-rows": (dict(coefficients=(((-1, 1),) * 2,)), "coefficients: expected 2 rows"),
+    "coefficient-vectors": (
+        dict(coefficients=(((-1, 1),), ((1, -1),) * 2)), "coefficients[0]: expected 2 entries",
+    ),
+    "action-entry-negative": (
+        dict(action=((0, 1), (1, -1))), "action[1][1]: object index -1 out of range",
+    ),
+    "action-entry-past-last": (
+        dict(action=((0, 1), (1, 2))), "action[1][1]: object index 2 out of range",
+    ),
+    "prescribed-finite-without-roots": (
+        dict(positive_roots=None), "roots: required in prescribed mode",
+    ),
+    "one-root-set": (
+        dict(positive_roots=(((0, 1), (1, 0), (1, 1)),)), "roots: expected 2 per-object arrays",
+    ),
+    "short-root": (
+        dict(positive_roots=(((0, 1), (1, 0), (1, 1)), ((0, 1), (1, 0), (1,)))),
+        "roots[1][2]: expected 2 integers",
+    ),
+    "long-root": (
+        dict(positive_roots=(((0, 1), (1, 0), (1, 1, 0)), ((0, 1), (1, 0), (1, 1)))),
+        "roots[0][2]: expected 2 integers",
+    ),
+    "duplicate-names": (dict(objects=("a", "a")), "objects: duplicate object name 'a'"),
+    "rank-0": (dict(rank=0), "rank: must be at least 1"),
+    "no-objects": (dict(objects=()), "objects: expected a nonempty array of strings"),
+    "unknown-mode": (
+        dict(mode="lazy"), "mode: expected one of ('prescribed', 'generated'), got 'lazy'",
+    ),
+    "finite-without-roots": (
+        dict(mode=wg.GENERATED, positive_roots=None),
+        "status: must be None without root sets, got 'finite'",
+    ),
+    "prescribed-without-roots": (
+        dict(positive_roots=None, status=None), "roots: required in prescribed mode",
+    ),
+    "roots-without-status": (
+        dict(status=None),
+        "status: expected one of ('finite', 'truncated') with root sets, got None",
+    ),
+}
+
+
+@pytest.mark.parametrize("change, message", MISSHAPEN_CASES.values(), ids=MISSHAPEN_CASES)
+def test_table_of_the_wrong_size_is_named(change, message):
+    # the constructor checks the shape of every scheme, however it is built
+    pattern = f"^{re.escape(message)}$"
+    with pytest.raises(SchemeFormatError, match=pattern):
+        wg.RootGroupoidScheme(**{**A2_SWAPPED, **change})
+    with pytest.raises(SchemeFormatError, match=pattern):
+        dataclasses.replace(wg.RootGroupoidScheme(**A2_SWAPPED), **change)
 
 
 # ---------------------------------------------------------------------------
