@@ -66,7 +66,7 @@ def _object(s: RootGroupoidScheme, name: str) -> int:
         raise UsageError(f"unknown object {name!r}") from None
 
 
-def _format_word(s: RootGroupoidScheme, w: Word) -> str:
+def _format_word(w: Word) -> str:
     letters = " ".join(str(i + 1) for i in w.letters)
     return letters if letters else "(empty)"
 
@@ -144,7 +144,7 @@ def _report_element(s: RootGroupoidScheme, g: groupoid.GroupoidElement) -> int:
     """Print g's length, canonical reduced word and target."""
     canon = groupoid.canonical_reduced_word(s, g)
     print(f"length {len(canon)}")
-    print(f"word {_format_word(s, canon)}")
+    print(f"word {_format_word(canon)}")
     print(f"target {s.objects[g.target]}")
     return 0
 
@@ -179,7 +179,7 @@ def cmd_braid(s, args) -> int:
         w = rewriting.apply_move(s, w, mv)
         print(
             f"move {mv.position + 1} {mv.first + 1} {mv.second + 1} {mv.m} "
-            f"{s.objects[mv.anchor]} -> {_format_word(s, w)}"
+            f"{s.objects[mv.anchor]} -> {_format_word(w)}"
         )
     return 0
 

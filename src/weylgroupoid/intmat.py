@@ -39,10 +39,6 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     return tuple(tuple(sum(map(operator.mul, row, col)) for col in cols) for row in a)
 
 
-def mat_col(m: Matrix, j: int) -> Vector:
-    return tuple(row[j] for row in m)
-
-
 def mat_inverse(m: Matrix) -> Matrix:
     """Invert an integer matrix whose inverse is again integral.
 
@@ -109,10 +105,6 @@ def neg(v: Vector) -> Vector:
 
 def is_nonneg(v: Vector) -> bool:
     return all(x >= 0 for x in v)
-
-
-def is_nonpos(v: Vector) -> bool:
-    return all(x <= 0 for x in v)
 
 
 def is_zero(v: Vector) -> bool:

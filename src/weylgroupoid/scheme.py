@@ -202,14 +202,17 @@ class RootTables:
     rank_two: tuple[tuple[tuple[int, ...], ...], ...]
 
 
-def _build_root_tables(s: RootGroupoidScheme) -> RootTables | None:
-    """Root tables of finite roots that pass axioms 2 and 3; None unless
-    they pass axiom 5 too.
+def _root_index(s: RootGroupoidScheme) -> tuple[tuple, tuple, tuple | str]:
+    """The roots, index and sigma fields of the root tables, with sigma
+    replaced by validate's witness against axiom 5 at the first failing
+    (generator, object) pair: the one check of axiom 5.
 
-    Under axioms 2 and 3 a stored half and its negatives are disjoint.  A
-    reflection is injective, so it maps the roots of a onto those of
-    i |> a exactly when every image is found there and both sets have
-    the same size, which is axiom 5.
+    Exact on any stored halves, zero vectors, mixed signs and repeats
+    included: index[a] holds the root set of a, P and -P as a set, and
+    the target's set is closed under negation.  A reflection is linear
+    and injective, so it maps the root set of a onto that of i |> a
+    exactly when every stored root's image is found there and both sets
+    have the same size.
     """
     roots = tuple(pos + tuple(neg(r) for r in reversed(pos)) for pos in s.positive_roots)
     index = tuple(
@@ -220,17 +223,22 @@ def _build_root_tables(s: RootGroupoidScheme) -> RootTables | None:
     for i in range(s.rank):
         row = []
         for a, pos in enumerate(s.positive_roots):
-            target = index[s.action[i][a]]
+            b = s.action[i][a]
+            target = index[b]
             images = [target.get(reflect_vector(i, s.coefficients[i][a], r)) for r in pos]
             if None in images or len(target) != len(index[a]):
-                return None
+                half = {reflect_vector(i, s.coefficients[i][a], r) for r in pos}
+                image = half | {neg(r) for r in half}
+                diff = sorted(target.keys() - image) + sorted(image - target.keys())
+                return roots, index, (
+                    f"generator {_gen_label(i)} at object {s.objects[a]}: image does not "
+                    f"equal the root set of {s.objects[b]}, first mismatch "
+                    f"{_root_label(diff[0])}"
+                )
             # reflections are linear: the image of -r is the negative of r's
             row.append(tuple(images + [~k for k in reversed(images)]))
         sigma.append(tuple(row))
-    simple = tuple(
-        tuple(idx[s.simple_root(j)] for j in range(s.rank)) for idx in index
-    )
-    return RootTables(roots, index, tuple(sigma), simple, _rank_two_table(s))
+    return roots, index, tuple(sigma)
 
 
 def _rank_two_table(s: RootGroupoidScheme) -> tuple[tuple[tuple[int, ...], ...], ...]:
@@ -335,13 +343,6 @@ def reflection_matrix(s: RootGroupoidScheme, i: int, a: int) -> Matrix:
     check_generator(s, i)
     check_object(s, a)
     return reflection_from_coefficients(i, s.coefficients[i][a])
-
-
-def full_root_set(s: RootGroupoidScheme, a: int) -> frozenset[Vector]:
-    """Both halves of the stored root set of an object."""
-    _require_roots(s)
-    pos = s.positive_roots[a]
-    return frozenset(pos) | frozenset(neg(r) for r in pos)
 
 
 # ---------------------------------------------------------------------------
@@ -496,7 +497,7 @@ def strip_roots(s: RootGroupoidScheme) -> RootGroupoidScheme:
 
 AXIOM_DESCRIPTIONS = {
     1: "the generator action is involutive and transitive",
-    2: "every object stores its simple roots, all roots nonzero",
+    2: "every object stores its simple roots, all roots nonzero and distinct",
     3: "stored roots are sign coherent (all coordinates nonnegative)",
     4: "no simple root has a stored multiple other than itself",
     5: "each reflection maps the root set onto the target root set",
@@ -560,6 +561,9 @@ def _axiom2(s: RootGroupoidScheme) -> Iterator[str]:
                 yield f"object {s.objects[a]} lacks simple root {_gen_label(j)}"
         if any(is_zero(r) for r in pos):
             yield f"object {s.objects[a]} stores the zero vector"
+        if len(stored) < len(pos):
+            twice = next(r for k, r in enumerate(pos) if r in pos[:k])
+            yield f"object {s.objects[a]} stores root {_root_label(twice)} twice"
 
 
 def _axiom3(s: RootGroupoidScheme) -> Iterator[str]:
@@ -580,24 +584,6 @@ def _axiom4(s: RootGroupoidScheme) -> Iterator[str]:
                 f"object {s.objects[a]}, root {_root_label(r)} is a multiple "
                 f"of simple root {_gen_label(j)}"
             )
-
-
-def _axiom5(s: RootGroupoidScheme) -> Iterator[str]:
-    full = [full_root_set(s, a) for a in range(s.n_objects)]
-    for i in range(s.rank):
-        for a in range(s.n_objects):
-            # reflections are linear, so the negative half maps to the
-            # negatives of the positive half's image
-            half = {reflect_vector(i, s.coefficients[i][a], r) for r in s.positive_roots[a]}
-            image = half | {neg(r) for r in half}
-            target = full[s.action[i][a]]
-            if image != target:
-                diff = sorted(target - image) + sorted(image - target)
-                yield (
-                    f"generator {_gen_label(i)} at object {s.objects[a]}: image does not "
-                    f"equal the root set of {s.objects[s.action[i][a]]}, first mismatch "
-                    f"{_root_label(diff[0])}"
-                )
 
 
 def _axiom6(s: RootGroupoidScheme) -> Iterator[str]:
@@ -652,10 +638,12 @@ def validate(s: RootGroupoidScheme) -> ValidationReport:
     refused data of the wrong shape, so each table reads as the scheme
     claims.
 
-    The root_tables gate reads the same report and raises its first
-    failure.  When every axiom passes on finite roots, the tables built
-    for axiom 5 are kept as the scheme's root_tables, so later reads do
-    not check the axioms again.
+    Axiom 5 is checked on every scheme by the one build of the root
+    index, which the root tables are made of; the tables are kept only
+    when axioms 2, 3 and 5 pass.  The root_tables gate reads the same
+    report and raises its first failure.  When every axiom passes on
+    finite roots, the tables are kept as the scheme's root_tables, so
+    later reads do not check the axioms again.
     """
     report, tables = _checked(s)
     if s.status == FINITE and report.passed:
@@ -664,18 +652,26 @@ def validate(s: RootGroupoidScheme) -> ValidationReport:
 
 
 def _checked(s: RootGroupoidScheme) -> tuple[ValidationReport, RootTables | None]:
-    """validate's report, and the root tables if axioms 2, 3 and 5 pass:
-    axiom 5 is checked by building them, axiom 7 on their rank-two table."""
+    """validate's report, and the root tables if axioms 2, 3 and 5 pass.
+
+    Axiom 5 is decided on every scheme by building the root index
+    (_root_index); the simple indices and the rank-two table are added
+    only when axioms 2, 3 and 5 pass, and axiom 7 is checked on that
+    table, or on fresh counts when there are no tables.
+    """
     _require_roots(s)
     per_pair = s.rank * s.n_objects
     n_roots = sum(len(pos) for pos in s.positive_roots)
     n_rank_two = math.comb(s.rank, 2) * s.n_objects
     witnesses = [next(check(s), None) for check in (_axiom1, _axiom2, _axiom3, _axiom4)]
-    # the tables need axioms 2 and 3: nonzero, sign-coherent stored halves
+    roots, index, sigma = _root_index(s)
+    witnesses.append(sigma if isinstance(sigma, str) else None)
     tables = None
-    if witnesses[1] is None and witnesses[2] is None:
-        tables = _build_root_tables(s)
-    witnesses.append(None if tables is not None else next(_axiom5(s), None))
+    # tables need axioms 2, 3 and 5: distinct, nonzero, sign-coherent
+    # stored halves that every reflection permutes
+    if all(witnesses[k] is None for k in (1, 2, 4)):
+        simple = tuple(tuple(idx[s.simple_root(j)] for j in range(s.rank)) for idx in index)
+        tables = RootTables(roots, index, sigma, simple, _rank_two_table(s))
     witnesses.append(next(_axiom6(s), None))
     witnesses.append(next(_axiom7(s, None if tables is None else tables.rank_two), None))
     checked = (per_pair, per_pair, n_roots, per_pair, per_pair, per_pair, n_rank_two)

@@ -13,7 +13,6 @@ import pytest
 import weylgroupoid as wg
 from weylgroupoid import Word
 from weylgroupoid.groupoid import compose, generator_element, identity_element
-from weylgroupoid.intmat import mat_col
 
 A, B, C, D, E = range(5)
 
@@ -166,7 +165,7 @@ def test_criterion_07_weak_exchange_sweep(ex5):
                 if wg.length(ex5, g) != m:
                     continue
                 for j in range(3):
-                    column = mat_col(g.matrix, j)
+                    column = [row[j] for row in g.matrix]
                     if sum(column) != 1 or any(x not in (0, 1) for x in column):
                         continue
                     fact = wg.weak_exchange_factor(ex5, w, j)

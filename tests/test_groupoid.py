@@ -9,7 +9,7 @@ import weylgroupoid as wg
 from weylgroupoid import MINUS_INFINITY, ZERO, Word
 from weylgroupoid.groupoid import generator_element, identity_element
 from weylgroupoid.intmat import identity_matrix
-from weylgroupoid.scheme import _build_root_tables
+from weylgroupoid.scheme import _checked
 
 A, B, C, D, E = range(5)
 
@@ -335,10 +335,10 @@ A2_SWAPPED_AXIOM_7 = re.escape(
 
 
 def _past_the_gate(s):
-    """A copy of s whose root tables are built without checking the axioms,
-    so that the guards behind the gate can be reached."""
+    """A copy of s that holds root tables although an axiom other than 2, 3
+    and 5 fails, so that the guards behind the gate can be reached."""
     t = dataclasses.replace(s)
-    vars(t)["root_tables"] = _build_root_tables(t)
+    vars(t)["root_tables"] = _checked(t)[1]
     return t
 
 
@@ -397,12 +397,13 @@ def test_enumerate_sorted_and_deterministic(ex5):
 
 
 def test_elements_permute_root_sets(ex5):
-    from weylgroupoid.intmat import mat_vec
-    from weylgroupoid.scheme import full_root_set
+    from weylgroupoid.intmat import mat_vec, neg
+
+    def root_set(a):
+        return {*ex5.positive_roots[a], *map(neg, ex5.positive_roots[a])}
 
     for g in wg.enumerate_elements(ex5):
-        image = {mat_vec(g.matrix, r) for r in full_root_set(ex5, g.source)}
-        assert image == full_root_set(ex5, g.target)
+        assert {mat_vec(g.matrix, r) for r in root_set(g.source)} == root_set(g.target)
 
 
 def test_enumerate_closed_under_generators_and_inverse(ex5):

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import weylgroupoid as wg
-from weylgroupoid.intmat import basis_vector, identity_matrix, mat_mul
+from weylgroupoid.intmat import basis_vector, identity_matrix, mat_mul, mat_vec, neg
 from weylgroupoid.scheme import (
     AxiomResult,
     SchemeFormatError,
@@ -16,9 +16,9 @@ from weylgroupoid.scheme import (
     _axiom2,
     _axiom3,
     _axiom4,
-    _axiom5,
     _axiom6,
     _axiom7,
+    _checked,
     _rank_two_table,
     orbit_decomposition,
     reflection_matrix,
@@ -336,13 +336,18 @@ def test_validate_detects_simple_root_multiple(ex5):
     [
         (B, (0, 1, 0), (), "object b lacks simple root 2"),
         (C, None, ((0, 0, 0),), "object c stores the zero vector"),
+        (A, None, ((1, 1, 1),), "object a stores root (1,1,1) twice"),
     ],
 )
 def test_validate_detects_missing_simple_root_or_zero(ex5, obj, drop, add, witness):
     roots = list(ex5.positive_roots)
     roots[obj] = tuple(r for r in roots[obj] if r != drop) + add
-    report = wg.validate(dataclasses.replace(ex5, positive_roots=tuple(roots)))
+    mutated = dataclasses.replace(ex5, positive_roots=tuple(roots))
+    report = wg.validate(mutated)
     assert report.result(2) == AxiomResult(2, False, 15, witness)
+    # the gate raises the same failure, so no length is counted on such roots
+    with pytest.raises(wg.InconsistentSchemeError, match=re.escape(f"axiom 2 FAIL ({witness})")):
+        wg.length(mutated, wg.longest_element(ex5, A))
 
 
 def test_validate_detects_non_inverse_reflections(ex5):
@@ -788,6 +793,76 @@ def test_table_of_the_wrong_size_is_named(change, message):
 # the root tables as the one gate
 
 
+def _root_set(s, a):
+    pos = s.positive_roots[a]
+    return frozenset(pos) | frozenset(map(neg, pos))
+
+
+def _axiom5_by_root_sets(s):
+    """Witnesses against axiom 5 on the root sets as frozensets, each image
+    by the dense reflection matrix: the reference for validate's check,
+    which reads the root index instead."""
+    for i in range(s.rank):
+        for a in range(s.n_objects):
+            b = s.action[i][a]
+            image = frozenset(mat_vec(reflection_matrix(s, i, a), r) for r in _root_set(s, a))
+            target = _root_set(s, b)
+            if image != target:
+                diff = sorted(target - image) + sorted(image - target)
+                yield (
+                    f"generator {i + 1} at object {s.objects[a]}: image does not equal the "
+                    f"root set of {s.objects[b]}, first mismatch ({','.join(map(str, diff[0]))})"
+                )
+
+
+# consistent stored roots for the edits below: the example, A2 at two
+# objects that generator 2 swaps, and A2 at one object
+AXIOM_5_BASES = (
+    wg.rank3_example(),
+    wg.RootGroupoidScheme(**A2_SWAPPED),
+    wg.generate_roots(wg.from_cartan(((2, -1), (-1, 2))), 10),
+)
+
+
+@st.composite
+def _edited_root_sets(draw):
+    """A base scheme, built directly in prescribed mode, after a few edits
+    of its stored halves and coefficients: any vector added (zero vectors
+    and mixed signs among them), a stored root dropped (a simple one
+    too), repeated or added negated (an r/-r pair), or one coefficient
+    raised."""
+    s = draw(st.sampled_from(AXIOM_5_BASES))
+    roots = [list(pos) for pos in s.positive_roots]
+    coefficients = [[list(vec) for vec in per] for per in s.coefficients]
+    for _ in range(draw(st.integers(0, 3))):
+        a = draw(st.integers(0, s.n_objects - 1))
+        edit = draw(st.sampled_from(("add", "drop", "repeat", "negate", "coefficient")))
+        if edit == "add":
+            roots[a].append(draw(st.tuples(*[st.integers(-2, 2)] * s.rank)))
+        elif edit == "coefficient":
+            i, j = draw(st.integers(0, s.rank - 1)), draw(st.integers(0, s.rank - 1))
+            coefficients[i][a][j] += 1
+        elif roots[a]:
+            k = draw(st.integers(0, len(roots[a]) - 1))
+            r = roots[a].pop(k) if edit == "drop" else roots[a][k]
+            if edit != "drop":
+                roots[a].insert(draw(st.integers(0, len(roots[a]))), r if edit == "repeat" else neg(r))
+    return dataclasses.replace(
+        s, mode=wg.PRESCRIBED, positive_roots=tuple(map(tuple, roots)),
+        coefficients=tuple(tuple(map(tuple, per)) for per in coefficients),
+    )
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(_edited_root_sets())
+def test_axiom_5_matches_the_root_sets(s):
+    witness = next(_axiom5_by_root_sets(s), None)
+    report, tables = _checked(s)
+    assert report.result(5) == AxiomResult(5, witness is None, s.rank * s.n_objects, witness)
+    # the root tables are kept exactly when axioms 2, 3 and 5 pass
+    assert (tables is not None) == all(report.result(k).passed for k in (2, 3, 5))
+
+
 def _gate_pool():
     yield from (RESTRICT_SCHEMES["EX"], RESTRICT_SCHEMES["D4"], RESTRICT_SCHEMES["BI3"])
     yield wg.generate_roots(wg.from_cartan(((2, -1, 0), (-1, 2, -1), (0, -1, 2))), 30)  # A3
@@ -844,7 +919,7 @@ def test_axiom_6_fails_only_after_an_earlier_axiom():
 
 
 def test_validate_reports_each_axiom_as_checked_alone():
-    checks = (_axiom1, _axiom2, _axiom3, _axiom4, _axiom5, _axiom6, _axiom7)
+    checks = (_axiom1, _axiom2, _axiom3, _axiom4, _axiom5_by_root_sets, _axiom6, _axiom7)
     for s in _gate_pool():
         results = wg.validate(dataclasses.replace(s)).results
         for axiom, (result, check) in enumerate(zip(results, checks), start=1):
