@@ -22,7 +22,7 @@ import math
 import operator
 from dataclasses import dataclass
 
-from .intmat import Matrix, identity_matrix, mat_inverse, mat_mul, reflect_columns
+from .intmat import Matrix, identity_matrix, mat_inverse, mat_mul, reflect_vector
 from .roots import rank_two_count
 from .scheme import (
     InconsistentSchemeError,
@@ -101,21 +101,21 @@ def _element(tables: RootTables, source: int, target: int, cols) -> GroupoidElem
 def element_of_word(s: RootGroupoidScheme, w: Word) -> GroupoidElement:
     """Evaluate a word: the product of its reflection matrices.
 
-    With root tables, the simple roots of the base are carried through
-    the letters, rightmost first, by index lookups.  Without them
-    (roots missing or truncated, or breaking one of the seven axioms) each
-    letter's matrix multiplies on the right, leftmost letter first.
-    Either way the result is never zero, and root data raises nothing.
+    The simple roots of the base, the columns, are carried through the
+    letters, rightmost first: with root tables by index lookups, without
+    them (roots missing or truncated, or breaking one of the seven axioms)
+    by reflect_vector.  Either way the result is never zero, and root data
+    raises nothing.
     """
     try:
         path, cols = _word_columns(s, w.letters, w.base)
     except ValueError:  # roots missing, truncated or inconsistent; a bad letter raises below
         path = word_path(s, w.letters, w.base)
-        matrix = identity_matrix(s.rank)
-        # each letter with the object it acts from, leftmost first
-        for i, a in zip(w.letters, path[1:]):
-            matrix = reflect_columns(matrix, i, s.coefficients[i][a])
-        return GroupoidElement(w.base, path[0], matrix)
+        cols = identity_matrix(s.rank)
+        for i, a in zip(reversed(w.letters), reversed(path[1:])):
+            c = s.coefficients[i][a]
+            cols = [reflect_vector(i, c, v) for v in cols]
+        return GroupoidElement(w.base, path[0], tuple(zip(*cols)))
     return _element(s.root_tables, w.base, path[0], cols)
 
 

@@ -5,9 +5,9 @@ as tuples of rows.  Everything stays in integer arithmetic, inversion
 included.
 
 A reflection matrix (scheme.reflection_from_coefficients(i, c)) differs
-from the identity in row i only, so the two reflection kernels below
-touch only the coordinate or the entries that change instead of forming a
-dense product.
+from the identity in row i only, and that row is the coefficient vector
+c, so the one reflection kernel below changes one coordinate instead of
+forming a dense product.
 """
 
 from __future__ import annotations
@@ -69,34 +69,10 @@ def mat_inverse(m: Matrix) -> Matrix:
 
 
 def reflect_vector(i: int, c: Vector, v: Vector) -> Vector:
-    """reflection_from_coefficients(i, c) times v.
-
-    Only coordinate i changes: it becomes c.v, with -1 standing at
-    position i whatever c[i] holds.
-    """
-    x = sum(map(operator.mul, c, v)) - (c[i] + 1) * v[i]
+    """reflection_from_coefficients(i, c) times v: coordinate i becomes c.v
+    (c[i] is -1, so c is the matrix's row i), and no other changes."""
+    x = sum(map(operator.mul, c, v))
     return v[:i] + (x,) + v[i + 1 :]
-
-
-def reflect_columns(m: Matrix, i: int, c: Vector) -> Matrix:
-    """m times reflection_from_coefficients(i, c).
-
-    Row r gains m[r][i] * (c - e_i) with -1 in place of c[i], so only
-    column i and the columns where c is nonzero change, and rows with a
-    zero in column i are reused unchanged.
-    """
-    changed = [(k, ck) for k, ck in enumerate(c) if ck and k != i]
-    out = []
-    for row in m:
-        x = row[i]
-        if x:
-            new = list(row)
-            for k, ck in changed:
-                new[k] += x * ck
-            new[i] = -x
-            row = tuple(new)
-        out.append(row)
-    return tuple(out)
 
 
 def neg(v: Vector) -> Vector:

@@ -82,8 +82,7 @@ def generate_roots(s: RootGroupoidScheme, cutoff: int) -> RootGroupoidScheme:
 
     # per object, (i, i |> a, row i of the reflection matrix) for each generator
     steps = [
-        [(i, s.action[i][a], c[:i] + (-1,) + c[i + 1 :])
-         for i, c in enumerate(per[a] for per in s.coefficients)]
+        [(i, s.action[i][a], s.coefficients[i][a]) for i in range(s.rank)]
         for a in range(s.n_objects)
     ]
     permutes = all(len(set(row)) == s.n_objects for row in s.action)

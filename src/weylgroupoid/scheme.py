@@ -13,9 +13,10 @@ of an object is implicitly the union of the stored half and its negative.
 Schemes are immutable; operations that "fill in" data (root generation)
 return a new scheme.
 
-A scheme's shape is checked once, when it is constructed, so every table
-reads as the rank and the object count claim; the root-system axioms are
-checked by validate().
+A scheme's shape and the -1 at entry i of each coefficient vector are
+checked once, when it is constructed, so every table reads as the rank
+and the object count claim and every coefficient vector is row i of its
+reflection matrix; the root-system axioms are checked by validate().
 
 Generators and objects are 0-based integers throughout the API.  Witness
 strings in validation reports use 1-based generator labels and object
@@ -63,7 +64,8 @@ class RootGroupoidScheme:
       action          action[i][a] = the object reached from a by generator i
       coefficients    coefficients[i][a][j] = multiple of the i-th simple
                       root added to the j-th one by the reflection at
-                      (i, a); the entry at j == i is unused and set to -1
+                      (i, a); the entry at j == i is -1, so the vector is
+                      row i of the reflection matrix
       mode            "prescribed" (root sets given) or "generated"
                       (root sets computed on demand)
       positive_roots  per object, the sorted tuple of positive roots, or
@@ -73,14 +75,17 @@ class RootGroupoidScheme:
                       cutoff, None when no roots are stored
       cutoff          height bound used at generation time, if any
 
-    Construction checks the shape of these fields and nothing else, so no
-    misshapen scheme exists: a rank of at least 1; at least one object
-    name, all distinct; a known mode; rank action rows of one object index
-    per object; rank by n_objects coefficient vectors of rank entries; one
+    Construction checks the shape of these fields and the -1 convention,
+    so no misshapen scheme exists: a rank of at least 1; at least one
+    object name, all distinct; a known mode; rank action rows of one
+    object index (an int in range) per object; rank by n_objects
+    coefficient vectors of rank entries, each with -1 at entry i; one
     root set per object, of vectors with rank entries; root sets in
     prescribed mode, and a status exactly when root sets are stored.  The
     first fault raises SchemeFormatError, worded as load_scheme words it in
-    a file.  Whether the data satisfies the axioms is validate's question.
+    a file.  The other rules on values are the file format's
+    (_check_values), and whether the data satisfies the axioms is
+    validate's question.
     """
 
     rank: int
@@ -109,21 +114,24 @@ class RootGroupoidScheme:
         for i, row in enumerate(self.action):
             if len(row) != n:
                 raise SchemeFormatError(f"action[{i}]: expected {n} entries")
-            if min(row) < 0 or max(row) >= n:
-                # no entry equal to the first misfit comes before it, so
-                # index() finds its position; likewise below
-                t = next(t for t in row if not 0 <= t < n)
-                a = row.index(t)
+            if {*map(type, row)} != {int} or min(row) < 0 or max(row) >= n:
+                a, t = next(
+                    (a, t) for a, t in enumerate(row) if type(t) is not int or not 0 <= t < n
+                )
+                _as_int(t, f"action[{i}][{a}]")
                 raise SchemeFormatError(f"action[{i}][{a}]: object index {t} out of range")
         if len(self.coefficients) != rank:
             raise SchemeFormatError(f"coefficients: expected {rank} rows")
         for i, per_object in enumerate(self.coefficients):
             if len(per_object) != n:
                 raise SchemeFormatError(f"coefficients[{i}]: expected {n} entries")
-            for c in per_object:
+            for a, c in enumerate(per_object):
                 if len(c) != rank:
-                    a = per_object.index(c)
                     raise SchemeFormatError(f"coefficients[{i}][{a}]: expected {rank} integers")
+                if c[i] != -1:
+                    raise SchemeFormatError(
+                        f"coefficients[{i}][{a}][{i}]: unused entry must be -1 by convention"
+                    )
         if roots is None:
             if self.mode == PRESCRIBED:
                 raise SchemeFormatError("roots: required in prescribed mode")
@@ -327,12 +335,11 @@ def theta(s: RootGroupoidScheme, i: int, j: int, a: int) -> int:
 def reflection_from_coefficients(i: int, coeffs: Sequence[int]) -> Matrix:
     """Matrix of the reflection of generator i with the given coefficients.
 
-    Row i is the coefficient vector with -1 in position i; all other rows
+    Row i is the coefficient vector, whose entry i is -1; all other rows
     are standard basis rows.  Such matrices are involutions.
     """
     n = len(coeffs)
-    row_i = tuple(coeffs[:i]) + (-1,) + tuple(coeffs[i + 1 :])
-    return tuple(row_i if r == i else basis_vector(n, r) for r in range(n))
+    return tuple(tuple(coeffs) if r == i else basis_vector(n, r) for r in range(n))
 
 
 def reflection_matrix(s: RootGroupoidScheme, i: int, a: int) -> Matrix:
@@ -378,11 +385,10 @@ def _as_ints(values, where) -> tuple[int, ...]:
 def load_scheme(text: str) -> RootGroupoidScheme:
     """Parse a scheme file (UTF-8 JSON).
 
-    Checks the JSON types here, then builds the scheme, whose constructor
-    checks table dimensions and index ranges, then checks the rules on
-    values: an involutive action, -1 at each coefficient vector's unused
-    entry and nonnegative entries elsewhere, and per object nonzero,
-    distinct roots that include the simple ones.  Positions in messages are
+    Checks the JSON types of rank, object names, coefficients and roots
+    here, then builds the scheme, whose constructor checks table
+    dimensions, action entries and the -1 convention, then checks the
+    other rules on values (_check_values).  Positions in messages are
     those in the file; each root set is sorted last.  The root-system
     axioms are checked separately by validate().
     """
@@ -401,10 +407,6 @@ def load_scheme(text: str) -> RootGroupoidScheme:
     names = data["objects"]
     if not isinstance(names, list) or not all(isinstance(x, str) for x in names):
         raise SchemeFormatError("objects: expected a nonempty array of strings")
-    action = tuple(
-        _as_ints(row, lambda a: f"action[{i}][{a}]")
-        for i, row in enumerate(_array(data["action"]))
-    )
     coefficients = tuple(
         tuple(
             _as_ints(vec, lambda j: f"coefficients[{i}][{a}][{j}]")
@@ -427,36 +429,45 @@ def load_scheme(text: str) -> RootGroupoidScheme:
     s = RootGroupoidScheme(
         rank=rank,
         objects=tuple(names),
-        action=action,
+        action=tuple(tuple(_array(row)) for row in _array(data["action"])),
         coefficients=coefficients,
         mode=mode,
         positive_roots=roots,
         status=None if roots is None else FINITE,
     )
-
-    for i, row in enumerate(action):
-        for a, t in enumerate(row):
-            if row[t] != a:
-                raise SchemeFormatError(
-                    f"action[{i}][{a}]: generator action is not involutive at object {names[a]!r}"
-                )
-    for i, per_object in enumerate(coefficients):
-        for a, vec in enumerate(per_object):
-            if vec[i] != -1:
-                raise SchemeFormatError(
-                    f"coefficients[{i}][{a}][{i}]: unused entry must be -1 by convention"
-                )
-            if min(vec) < -1 or vec.count(-1) > 1:  # a negative entry besides i
-                j = next(j for j, c in enumerate(vec) if j != i and c < 0)
-                raise SchemeFormatError(
-                    f"coefficients[{i}][{a}][{j}]: reflection coefficients must be nonnegative"
-                )
+    _check_values(s)
     if mode == GENERATED:
         if data.get("roots") is not None:
             raise SchemeFormatError("roots: must be absent in generated mode")
         return s
-    simple = [basis_vector(rank, j) for j in range(rank)]
-    for a, vecs in enumerate(roots):
+    ordered = tuple(tuple(sorted(vecs)) for vecs in roots)
+    return s if ordered == roots else replace(s, positive_roots=ordered)
+
+
+def _check_values(s: RootGroupoidScheme) -> None:
+    """The file format's rules on values beyond the constructor's: an
+    involutive action, nonnegative coefficients off entry i, and in
+    prescribed mode per object nonzero, distinct roots that include the
+    simple ones.  The first fault raises SchemeFormatError at its position
+    in the scheme's tables."""
+    for i, row in enumerate(s.action):
+        for a, t in enumerate(row):
+            if row[t] != a:
+                raise SchemeFormatError(
+                    f"action[{i}][{a}]: generator action is not involutive "
+                    f"at object {s.objects[a]!r}"
+                )
+    for i, per_object in enumerate(s.coefficients):
+        for a, vec in enumerate(per_object):
+            if min(vec) < -1 or vec.count(-1) > 1:  # a negative entry besides the -1 at i
+                j = next(j for j, c in enumerate(vec) if j != i and c < 0)
+                raise SchemeFormatError(
+                    f"coefficients[{i}][{a}][{j}]: reflection coefficients must be nonnegative"
+                )
+    if s.mode != PRESCRIBED:
+        return
+    simple = [basis_vector(s.rank, j) for j in range(s.rank)]
+    for a, vecs in enumerate(s.positive_roots):
         seen = set()
         for k, v in enumerate(vecs):
             if not any(v):
@@ -467,14 +478,18 @@ def load_scheme(text: str) -> RootGroupoidScheme:
         for j, e in enumerate(simple):
             if e not in seen:
                 raise SchemeFormatError(
-                    f"roots[{a}]: missing simple root {j + 1} of object {names[a]!r}"
+                    f"roots[{a}]: missing simple root {j + 1} of object {s.objects[a]!r}"
                 )
-    ordered = tuple(tuple(sorted(vecs)) for vecs in roots)
-    return s if ordered == roots else replace(s, positive_roots=ordered)
 
 
 def save_scheme(s: RootGroupoidScheme) -> str:
-    """Serialize to the scheme file format with normalized ordering."""
+    """Serialize to the scheme file format with normalized ordering.
+
+    Refuses, by _check_values' SchemeFormatError, a scheme that
+    load_scheme would refuse to read back; positions in its message are
+    those in the scheme's tables, before the root sets are sorted.
+    """
+    _check_values(s)
     doc: dict = {
         "rank": s.rank,
         "objects": list(s.objects),
@@ -588,13 +603,12 @@ def _axiom4(s: RootGroupoidScheme) -> Iterator[str]:
 
 def _axiom6(s: RootGroupoidScheme) -> Iterator[str]:
     # sigma_{i, i|>a} sigma_{i,a} = id; both are involutions, so this holds
-    # exactly when they are equal, that is when their coefficient vectors
-    # agree off entry i, which reflection_from_coefficients ignores
+    # exactly when they are equal, that is when their rows i, the
+    # coefficient vectors, are
     for i, per_object in enumerate(s.coefficients):
         for a in range(s.n_objects):
             back = s.action[i][a]
-            c, d = per_object[a], per_object[back]
-            if c[:i] != d[:i] or c[i + 1 :] != d[i + 1 :]:
+            if per_object[a] != per_object[back]:
                 yield (
                     f"generator {_gen_label(i)}: reflections at {s.objects[a]} and "
                     f"{s.objects[back]} do not compose to the identity"

@@ -1,7 +1,8 @@
-"""The one-row reflection kernels, the integer inverse and the root tables
+"""The one-row reflection kernel, the integer inverse and the root tables
 against dense products and brute force."""
 
 import dataclasses
+import functools
 import re
 
 import pytest
@@ -15,7 +16,6 @@ from weylgroupoid.intmat import (
     mat_inverse,
     mat_mul,
     mat_vec,
-    reflect_columns,
     reflect_vector,
 )
 from weylgroupoid.scheme import reflection_from_coefficients, reflection_matrix
@@ -35,11 +35,26 @@ SCHEMES = {
     "BI2": wg.generate_roots(wg.from_bicharacter(((2, 1), (0, 2)), 12, 3), 30),
     "E6": wg.generate_roots(wg.from_cartan(E6), 30),
 }
-# schemes without root tables, whose words evaluate by matrix products
+E8 = (
+    (2, -1, 0, 0, 0, 0, 0, 0),
+    (-1, 2, -1, 0, 0, 0, 0, 0),
+    (0, -1, 2, -1, 0, 0, 0, 0),
+    (0, 0, -1, 2, -1, 0, 0, 0),
+    (0, 0, 0, -1, 2, -1, 0, -1),
+    (0, 0, 0, 0, -1, 2, -1, 0),
+    (0, 0, 0, 0, 0, -1, 2, 0),
+    (0, 0, 0, 0, -1, 0, 0, 2),
+)
+# schemes without root tables, whose words evaluate by reflect_vector
 MATRIX_SCHEMES = {
     # affine A1 cut at height 10
     "truncated": wg.generate_roots(wg.from_cartan(((2, -2), (-2, 2))), 10),
     "unmaterialized": wg.from_bicharacter(((3, 2, 0), (0, 3, 2), (0, 0, 3)), 12, 6),
+    "unmaterialized E8": wg.from_cartan(E8),
+    # rank 4 on five objects
+    "unmaterialized BI4": wg.from_bicharacter(
+        ((2, 2, 0, 0), (0, 2, 1, 0), (0, 0, 3, 1), (0, 0, 0, 3)), 12, 4
+    ),
 }
 
 PROPERTY = settings(derandomize=True, database=None, max_examples=200, deadline=None)
@@ -49,21 +64,22 @@ PROPERTY = settings(derandomize=True, database=None, max_examples=200, deadline=
 def _kernel_case(draw):
     n = draw(st.integers(1, 8))
     i = draw(st.integers(0, n - 1))
-    ints = st.integers(-5, 5)
-    # c[i] is arbitrary: the reflection matrix puts -1 there whatever it holds
-    c = tuple(draw(st.lists(st.integers(-3, 4), min_size=n, max_size=n)))
-    v = tuple(draw(st.lists(ints, min_size=n, max_size=n)))
-    m = tuple(tuple(draw(st.lists(ints, min_size=n, max_size=n))) for _ in range(n))
-    return i, c, v, m
+    # c[i] is -1, as the scheme constructor requires: c is the matrix's row i
+    c = draw(st.lists(st.integers(-3, 4), min_size=n, max_size=n))
+    c[i] = -1
+    c = tuple(c)
+    v = tuple(draw(st.lists(st.integers(-5, 5), min_size=n, max_size=n)))
+    return i, c, v
 
 
 @PROPERTY
 @given(_kernel_case())
 def test_kernels_equal_dense_products(case):
-    i, c, v, m = case
+    i, c, v = case
     r = reflection_from_coefficients(i, c)
     assert reflect_vector(i, c, v) == mat_vec(r, v)
-    assert reflect_columns(m, i, c) == mat_mul(m, r)
+    # every reflection matrix is an involution
+    assert mat_mul(r, r) == identity_matrix(len(c))
 
 
 @st.composite
@@ -73,7 +89,8 @@ def _reflection_product(draw):
     p = identity_matrix(n)
     for _ in range(draw(st.integers(0, 12))):
         i = draw(st.integers(0, n - 1))
-        c = tuple(draw(st.lists(st.integers(0, 3), min_size=n, max_size=n)))
+        c = draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+        c[i] = -1
         p = mat_mul(reflection_from_coefficients(i, c), p)
     return p
 
@@ -151,21 +168,24 @@ def test_length_equals_inversion_count(case):
 
 
 def _matrix_bfs(s):
-    """Every element, by appending generators on the right, level by level."""
-    frontier = [wg.identity_element(s, a) for a in range(s.n_objects)]
-    depth = {g: 0 for g in frontier}
+    """Every element, by composing generators on the left, level by level:
+    each element is (source, target, columns), each column reflected by
+    reflect_vector."""
+    identity = identity_matrix(s.rank)
+    frontier = [(a, a, identity) for a in range(s.n_objects)]
+    depth = dict.fromkeys(frontier, 0)
     while frontier:
         nxt = []
-        for g in frontier:
+        for a, b, cols in frontier:
             for j in range(s.rank):
-                b = s.action[j][g.source]
-                matrix = reflect_columns(g.matrix, j, s.coefficients[j][b])
-                h = wg.GroupoidElement(b, g.target, matrix)
+                reflect = functools.partial(reflect_vector, j, s.coefficients[j][b])
+                h = (a, s.action[j][b], tuple(map(reflect, cols)))
                 if h not in depth:
-                    depth[h] = depth[g] + 1
+                    depth[h] = depth[a, b, cols] + 1
                     nxt.append(h)
         frontier = nxt
-    return sorted(depth, key=lambda g: (depth[g], g.source, g.target, g.matrix))
+    elements = {wg.GroupoidElement(a, b, tuple(zip(*cols))): n for (a, b, cols), n in depth.items()}
+    return sorted(elements, key=lambda g: (elements[g], g.source, g.target, g.matrix))
 
 
 @pytest.mark.parametrize("name", sorted(SCHEMES))

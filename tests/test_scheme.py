@@ -648,23 +648,15 @@ def _axiom_6_by_dense_product(s):
     return None
 
 
-# A1 x A1 on two objects that both generators swap, built directly: the
-# unused entry coefficients[0][a][0] is 0 and coefficients[0][b][0] is -1,
-# and every other entry agrees, so the two reflections of generator 1 are
-# equal although their coefficient vectors are not
-UNUSED_ENTRY_A1A1 = wg.RootGroupoidScheme(
-    2, ("a", "b"), ((1, 0), (1, 0)), (((0, 0), (-1, 0)), ((0, -1), (0, -1))),
-    wg.PRESCRIBED, (((0, 1), (1, 0)),) * 2, wg.FINITE,
-)
-
-
 # on one object every reflection is its own opposite, so D4 cannot fail
-@pytest.mark.parametrize("name", ["BI3", "EX", "A1xA1 unused entry"])
+@pytest.mark.parametrize("name", ["BI3", "EX"])
 def test_axiom_6_matches_the_dense_product(name):
-    s = {**RESTRICT_SCHEMES, "A1xA1 unused entry": UNUSED_ENTRY_A1A1}[name]
+    s = RESTRICT_SCHEMES[name]
     assert wg.validate(s).result(6).passed == (_axiom_6_by_dense_product(s) is None)
     failed = 0
     for i, a, j in itertools.product(range(s.rank), range(s.n_objects), range(s.rank)):
+        if j == i:  # the constructor keeps the -1 there
+            continue
         coefficients = [[list(vec) for vec in per] for per in s.coefficients]
         coefficients[i][a][j] += 1
         changed = dataclasses.replace(
@@ -745,6 +737,14 @@ MISSHAPEN_CASES = {
     "action-entry-past-last": (
         dict(action=((0, 1), (1, 2))), "action[1][1]: object index 2 out of range",
     ),
+    "action-entry-float": (
+        dict(action=((0, 1), (1.0, 0))), "action[1][0]: expected an integer, got 1.0",
+    ),
+    # a vector that is not row 1 of a reflection matrix
+    "unused-entry": (
+        dict(coefficients=(((-1, 1), (0, 1)), ((1, -1),) * 2)),
+        "coefficients[0][1][0]: unused entry must be -1 by convention",
+    ),
     "prescribed-finite-without-roots": (
         dict(positive_roots=None), "roots: required in prescribed mode",
     ),
@@ -787,6 +787,47 @@ def test_table_of_the_wrong_size_is_named(change, message):
         wg.RootGroupoidScheme(**{**A2_SWAPPED, **change})
     with pytest.raises(SchemeFormatError, match=pattern):
         dataclasses.replace(wg.RootGroupoidScheme(**A2_SWAPPED), **change)
+
+
+# field changes to A2_SWAPPED that the constructor accepts and the file
+# format refuses, one per rule on values, and the fault named
+VALUE_CASES = {
+    "non-involutive-action": (
+        dict(action=((0, 1), (1, 1))),
+        "action[1][0]: generator action is not involutive at object 'a'",
+    ),
+    "negative-coefficient": (
+        dict(coefficients=(((-1, 1),) * 2, ((1, -1), (-2, -1)))),
+        "coefficients[1][1][0]: reflection coefficients must be nonnegative",
+    ),
+    "zero-root": (
+        dict(positive_roots=(((0, 1), (1, 0), (0, 0)), ((0, 1), (1, 0), (1, 1)))),
+        "roots[0][2]: roots must be nonzero",
+    ),
+    "duplicate-root": (
+        dict(positive_roots=(((0, 1), (1, 0), (1, 1)), ((0, 1), (1, 0), (1, 0)))),
+        "roots[1][2]: duplicate root [1, 0]",
+    ),
+    "missing-simple-root": (
+        dict(positive_roots=(((0, 1), (1, 1)), ((0, 1), (1, 0), (1, 1)))),
+        "roots[0]: missing simple root 1 of object 'a'",
+    ),
+}
+
+
+@pytest.mark.parametrize("change, message", VALUE_CASES.values(), ids=VALUE_CASES)
+def test_save_refuses_what_load_refuses(change, message):
+    # save_scheme writes no text that load_scheme refuses: both name the fault
+    s = wg.RootGroupoidScheme(**{**A2_SWAPPED, **change})
+    text = json.dumps({
+        "rank": s.rank, "objects": list(s.objects), "action": s.action,
+        "coefficients": s.coefficients, "mode": s.mode, "roots": s.positive_roots,
+    })
+    pattern = f"^{re.escape(message)}$"
+    with pytest.raises(SchemeFormatError, match=pattern):
+        wg.save_scheme(s)
+    with pytest.raises(SchemeFormatError, match=pattern):
+        wg.load_scheme(text)
 
 
 # ---------------------------------------------------------------------------
@@ -841,7 +882,8 @@ def _edited_root_sets(draw):
             roots[a].append(draw(st.tuples(*[st.integers(-2, 2)] * s.rank)))
         elif edit == "coefficient":
             i, j = draw(st.integers(0, s.rank - 1)), draw(st.integers(0, s.rank - 1))
-            coefficients[i][a][j] += 1
+            if j != i:  # the constructor keeps the -1 there
+                coefficients[i][a][j] += 1
         elif roots[a]:
             k = draw(st.integers(0, len(roots[a]) - 1))
             r = roots[a].pop(k) if edit == "drop" else roots[a][k]
