@@ -22,7 +22,7 @@ import math
 import operator
 from dataclasses import dataclass
 
-from .intmat import Matrix, identity_matrix, mat_inverse, mat_mul, reflect_vector
+from .intmat import Matrix, identity_matrix, mat_inverse, mat_mul, mat_vec, transpose
 from .roots import rank_two_count
 from .scheme import (
     InconsistentSchemeError,
@@ -35,10 +35,6 @@ from .scheme import (
     reflection_matrix,
     word_path,
 )
-
-# Not called here, but kept bound in this module: the benchmark's tracer
-# (bench/tracing.py) counts calls through groupoid.mat_vec.
-from .intmat import mat_vec  # noqa: E402,F401
 
 
 @dataclass(frozen=True)
@@ -101,21 +97,20 @@ def _element(tables: RootTables, source: int, target: int, cols) -> GroupoidElem
 def element_of_word(s: RootGroupoidScheme, w: Word) -> GroupoidElement:
     """Evaluate a word: the product of its reflection matrices.
 
-    The simple roots of the base, the columns, are carried through the
-    letters, rightmost first: with root tables by index lookups, without
-    them (roots missing or truncated, or breaking one of the seven axioms)
-    by reflect_vector.  Either way the result is never zero, and root data
-    raises nothing.
+    Letters act rightmost first.  With root tables the simple roots of the
+    base, the columns, are carried through by index lookups; without them
+    (roots missing or truncated, or breaking one of the seven axioms) each
+    reflection replaces row i of the matrix M by c.M, c its coefficients.
+    Either way the result is never zero, and root data raises nothing.
     """
     try:
         path, cols = _word_columns(s, w.letters, w.base)
     except ValueError:  # roots missing, truncated or inconsistent; a bad letter raises below
         path = word_path(s, w.letters, w.base)
-        cols = identity_matrix(s.rank)
+        m = identity_matrix(s.rank)
         for i, a in zip(reversed(w.letters), reversed(path[1:])):
-            c = s.coefficients[i][a]
-            cols = [reflect_vector(i, c, v) for v in cols]
-        return GroupoidElement(w.base, path[0], tuple(zip(*cols)))
+            m = m[:i] + (mat_vec(transpose(m), s.coefficients[i][a]),) + m[i + 1 :]
+        return GroupoidElement(w.base, path[0], m)
     return _element(s.root_tables, w.base, path[0], cols)
 
 
@@ -131,15 +126,21 @@ def _word_columns(s: RootGroupoidScheme, letters, base: int):
 
 
 def compose(g: GroupoidElement, h: GroupoidElement) -> GroupoidElement:
-    """The product g after h; zero when g's source is not h's target."""
+    """The product g after h; zero when g's source is not h's target, and
+    ValueError unless both matrices are square of one size."""
     if g.is_zero or h.is_zero or g.source != h.target:
         return ZERO
+    if {len(h.matrix), *map(len, g.matrix), *map(len, h.matrix)} != {len(g.matrix)}:
+        raise ValueError("element matrices are not square of one size")
     return GroupoidElement(h.source, g.target, mat_mul(g.matrix, h.matrix))
 
 
 def inverse(g: GroupoidElement) -> GroupoidElement:
+    """g's inverse; ValueError for zero and for a matrix that is not square."""
     if g.is_zero:
         raise ValueError("the zero element has no inverse")
+    if {*map(len, g.matrix)} != {len(g.matrix)}:
+        raise ValueError("element matrix is not square")
     return GroupoidElement(g.target, g.source, mat_inverse(g.matrix))
 
 
@@ -163,6 +164,9 @@ def length(s: RootGroupoidScheme, g: GroupoidElement):
     Roots are sign coherent, so g sends beta to a negative root exactly
     when h.beta < 0, where h holds the heights of g's columns.  Raises as
     root_tables does, and ValueError if g does not fit s (_element_tables).
+    Not checked: that g is a groupoid element.  On the bundled example
+    diag(-1, 1, 1) at object 0, whose columns are roots, gets length 1;
+    no check cheaper than canonical_reduced_word's walk refuses it.
     """
     if g.is_zero:
         return MINUS_INFINITY
@@ -176,7 +180,8 @@ def is_descent(s: RootGroupoidScheme, g: GroupoidElement, j: int) -> bool:
 
     True exactly when g sends the j-th simple root of its source to a
     negative root of its target.  Raises as root_tables does, and
-    ValueError if g does not fit s (_element_tables).
+    ValueError if g does not fit s (_element_tables), all it checks of g:
+    as for length, diag(-1, 1, 1) on the bundled example has descent 0.
     """
     if g.is_zero:
         raise ValueError("the zero element has no descents")

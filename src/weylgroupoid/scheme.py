@@ -13,10 +13,10 @@ of an object is implicitly the union of the stored half and its negative.
 Schemes are immutable; operations that "fill in" data (root generation)
 return a new scheme.
 
-A scheme's shape and the -1 at entry i of each coefficient vector are
-checked once, when it is constructed, so every table reads as the rank
-and the object count claim and every coefficient vector is row i of its
-reflection matrix; the root-system axioms are checked by validate().
+A scheme's types, shape and -1 at entry i of each coefficient vector
+are checked once, when it is constructed, so every table holds ints and
+reads as the rank and the object count claim, and every coefficient
+vector is row i of its reflection matrix; validate() checks the axioms.
 
 Generators and objects are 0-based integers throughout the API.  Witness
 strings in validation reports use 1-based generator labels and object
@@ -29,6 +29,7 @@ import json
 import math
 from dataclasses import dataclass, replace
 from functools import cached_property
+from itertools import chain
 from typing import Iterable, Iterator, Sequence
 
 from .intmat import Matrix, Vector, basis_vector, is_nonneg, is_zero, neg, reflect_vector
@@ -46,8 +47,8 @@ TRUNCATED = "truncated"
 
 
 class SchemeFormatError(ValueError):
-    """A scheme or its file is malformed; the message names the offending
-    field as it appears in the file."""
+    """A scheme or its file is malformed: a field's type or shape, the JSON
+    structure or a value; the message names the field as in the file."""
 
 
 class InconsistentSchemeError(ValueError):
@@ -75,17 +76,18 @@ class RootGroupoidScheme:
                       cutoff, None when no roots are stored
       cutoff          height bound used at generation time, if any
 
-    Construction checks the shape of these fields and the -1 convention,
-    so no misshapen scheme exists: a rank of at least 1; at least one
-    object name, all distinct; a known mode; rank action rows of one
+    Construction checks the types and shape of these fields (each
+    field's types first) and the -1 convention, so no misshapen scheme
+    exists: an int rank (not a bool) of at least 1; at least one object
+    name, all str and distinct; a known mode; rank action rows of one
     object index (an int in range) per object; rank by n_objects
-    coefficient vectors of rank entries, each with -1 at entry i; one
-    root set per object, of vectors with rank entries; root sets in
-    prescribed mode, and a status exactly when root sets are stored.  The
-    first fault raises SchemeFormatError, worded as load_scheme words it in
-    a file.  The other rules on values are the file format's
-    (_check_values), and whether the data satisfies the axioms is
-    validate's question.
+    coefficient vectors of rank ints, each with -1 at entry i; one root
+    set per object, of vectors of rank ints; root sets in prescribed
+    mode, a status exactly when root sets are stored, and a cutoff of
+    None or an int >= 1.  The first fault raises SchemeFormatError,
+    worded as load_scheme words it in a file.  The other rules on values
+    are the file format's (_check_values), and whether the data
+    satisfies the axioms is validate's question.
     """
 
     rank: int
@@ -100,26 +102,27 @@ class RootGroupoidScheme:
     def __post_init__(self) -> None:
         rank, names, roots = self.rank, self.objects, self.positive_roots
         n = len(names)
+        if type(rank) is not int:
+            raise SchemeFormatError(f"rank: expected an integer, got {rank!r}")
         if rank < 1:
             raise SchemeFormatError("rank: must be at least 1")
-        if not n:
+        if not n or not {*map(type, names)} <= {str}:
             raise SchemeFormatError("objects: expected a nonempty array of strings")
         if len(set(names)) != n:
             dup = next(x for k, x in enumerate(names) if x in names[:k])
             raise SchemeFormatError(f"objects: duplicate object name {dup!r}")
         if self.mode not in _MODES:
             raise SchemeFormatError(f"mode: expected one of {_MODES}, got {self.mode!r}")
+        _check_ints((self.action,), "action[{1}][{2}]")
         if len(self.action) != rank:
             raise SchemeFormatError(f"action: expected {rank} rows")
         for i, row in enumerate(self.action):
             if len(row) != n:
                 raise SchemeFormatError(f"action[{i}]: expected {n} entries")
-            if {*map(type, row)} != {int} or min(row) < 0 or max(row) >= n:
-                a, t = next(
-                    (a, t) for a, t in enumerate(row) if type(t) is not int or not 0 <= t < n
-                )
-                _as_int(t, f"action[{i}][{a}]")
+            if min(row) < 0 or max(row) >= n:
+                a, t = next((a, t) for a, t in enumerate(row) if not 0 <= t < n)
                 raise SchemeFormatError(f"action[{i}][{a}]: object index {t} out of range")
+        _check_ints(self.coefficients, "coefficients[{}][{}][{}]")
         if len(self.coefficients) != rank:
             raise SchemeFormatError(f"coefficients: expected {rank} rows")
         for i, per_object in enumerate(self.coefficients):
@@ -139,16 +142,22 @@ class RootGroupoidScheme:
                 raise SchemeFormatError(
                     f"status: must be None without root sets, got {self.status!r}"
                 )
-            return
-        if len(roots) != n:
-            raise SchemeFormatError(f"roots: expected {n} per-object arrays")
-        for a, pos in enumerate(roots):
-            for r in pos:
-                if len(r) != rank:
-                    raise SchemeFormatError(f"roots[{a}][{pos.index(r)}]: expected {rank} integers")
-        if self.status not in (FINITE, TRUNCATED):
+        else:
+            _check_ints(roots, "roots[{}][{}]")
+            if len(roots) != n:
+                raise SchemeFormatError(f"roots: expected {n} per-object arrays")
+            for a, pos in enumerate(roots):
+                for k, r in enumerate(pos):
+                    if len(r) != rank:
+                        raise SchemeFormatError(f"roots[{a}][{k}]: expected {rank} integers")
+            if self.status not in (FINITE, TRUNCATED):
+                raise SchemeFormatError(
+                    f"status: expected one of {(FINITE, TRUNCATED)} with root sets, "
+                    f"got {self.status!r}"
+                )
+        if self.cutoff is not None and (type(self.cutoff) is not int or self.cutoff < 1):
             raise SchemeFormatError(
-                f"status: expected one of {(FINITE, TRUNCATED)} with root sets, got {self.status!r}"
+                f"cutoff: expected None or an integer of at least 1, got {self.cutoff!r}"
             )
 
     @property
@@ -172,18 +181,20 @@ class RootGroupoidScheme:
         Needs finite roots (ValueError otherwise) that pass all seven
         axioms; otherwise raises InconsistentSchemeError naming the first
         failing axiom of validate's report, as "axiom N FAIL (witness)".
-        A passing validate on finite roots leaves the tables here already.
-        Kept on the instance, outside the dataclass fields: equality,
-        hashing and replace() ignore it.
+        A passing validate on finite roots leaves the tables here, and a
+        failure is kept and raised again.  Both live on the instance,
+        outside the fields: equality, hashing and replace() ignore them.
         """
         _require_roots(self)
         if self.status != FINITE:
             raise ValueError("operation requires finite root data, scheme is truncated")
-        report, tables = _checked(self)
-        for r in report.results:
-            if not r.passed:
-                raise InconsistentSchemeError(f"axiom {r.axiom} FAIL ({r.witness})")
-        return tables
+        if "_gate_failure" not in vars(self):
+            report, tables = _checked(self)
+            if report.passed:
+                return tables
+            r = next(r for r in report.results if not r.passed)
+            vars(self)["_gate_failure"] = f"axiom {r.axiom} FAIL ({r.witness})"
+        raise InconsistentSchemeError(vars(self)["_gate_failure"])
 
 
 @dataclass(frozen=True, eq=False)
@@ -356,10 +367,15 @@ def reflection_matrix(s: RootGroupoidScheme, i: int, a: int) -> Matrix:
 # file format
 
 
-def _as_int(value, where: str) -> int:
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise SchemeFormatError(f"{where}: expected an integer, got {value!r}")
-    return value
+def _check_ints(table, where: str) -> None:
+    """SchemeFormatError at the first entry table[x][y][k] that is not an int,
+    named where.format(x, y, k), after one type pass over the flat table."""
+    if not {*map(type, chain.from_iterable(chain.from_iterable(table)))} <= {int}:
+        x, y, k, v = next(
+            (x, y, k, v) for x, row in enumerate(table) for y, vec in enumerate(row)
+            for k, v in enumerate(vec) if type(v) is not int
+        )
+        raise SchemeFormatError(f"{where.format(x, y, k)}: expected an integer, got {v!r}")
 
 
 def _array(value) -> list:
@@ -369,26 +385,14 @@ def _array(value) -> list:
     return value if isinstance(value, list) else []
 
 
-def _as_ints(values, where) -> tuple[int, ...]:
-    """A JSON array of integers as a tuple (any other value as an empty one,
-    as _array reads it), each entry k checked by _as_int at location
-    where(k); the location is formatted only for an entry that fails, so a
-    well-formed array costs one type test per entry."""
-    if not isinstance(values, list):
-        return ()
-    for k, x in enumerate(values):
-        if type(x) is not int:
-            _as_int(x, where(k))
-    return tuple(values)
-
-
 def load_scheme(text: str) -> RootGroupoidScheme:
     """Parse a scheme file (UTF-8 JSON).
 
-    Checks the JSON types of rank, object names, coefficients and roots
-    here, then builds the scheme, whose constructor checks table
-    dimensions, action entries and the -1 convention, then checks the
-    other rules on values (_check_values).  Positions in messages are
+    Checks the JSON structure here (a top-level object with every field,
+    an array of vectors per object under roots, no roots in generated
+    mode; any other value where an array belongs reads as empty), builds
+    the scheme, whose constructor checks types and shapes, then checks
+    the other rules on values (_check_values).  Positions in messages are
     those in the file; each root set is sorted last.  The root-system
     axioms are checked separately by validate().
     """
@@ -403,17 +407,6 @@ def load_scheme(text: str) -> RootGroupoidScheme:
         if field not in data:
             raise SchemeFormatError(f"missing field {field!r}")
 
-    rank = _as_int(data["rank"], "rank")
-    names = data["objects"]
-    if not isinstance(names, list) or not all(isinstance(x, str) for x in names):
-        raise SchemeFormatError("objects: expected a nonempty array of strings")
-    coefficients = tuple(
-        tuple(
-            _as_ints(vec, lambda j: f"coefficients[{i}][{a}][{j}]")
-            for a, vec in enumerate(_array(per_object))
-        )
-        for i, per_object in enumerate(_array(data["coefficients"]))
-    )
     mode = data["mode"]
     roots = None
     if mode == PRESCRIBED and "roots" in data:
@@ -421,16 +414,17 @@ def load_scheme(text: str) -> RootGroupoidScheme:
         for a, vecs in enumerate(_array(data["roots"])):
             if not isinstance(vecs, list):
                 raise SchemeFormatError(f"roots[{a}]: expected an array of vectors")
-            roots.append(tuple(
-                _as_ints(v, lambda _: f"roots[{a}][{k}]") for k, v in enumerate(vecs)
-            ))
+            roots.append(tuple(tuple(_array(v)) for v in vecs))
         roots = tuple(roots)
 
     s = RootGroupoidScheme(
-        rank=rank,
-        objects=tuple(names),
+        rank=data["rank"],
+        objects=tuple(_array(data["objects"])),
         action=tuple(tuple(_array(row)) for row in _array(data["action"])),
-        coefficients=coefficients,
+        coefficients=tuple(
+            tuple(tuple(_array(vec)) for vec in _array(per_object))
+            for per_object in _array(data["coefficients"])
+        ),
         mode=mode,
         positive_roots=roots,
         status=None if roots is None else FINITE,

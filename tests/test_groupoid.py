@@ -84,6 +84,19 @@ def test_inverse_rejects_zero():
         wg.inverse(ZERO)
 
 
+def test_compose_refuses_matrices_of_two_sizes(ex5):
+    # a 2 x 2 element after a 3 x 3 one used to give ((1, 0, 0), (0, 1, 0))
+    g = wg.GroupoidElement(A, A, identity_matrix(2))
+    with pytest.raises(ValueError, match="^element matrices are not square of one size$"):
+        wg.compose(g, identity_element(ex5, A))
+
+
+def test_inverse_refuses_a_matrix_that_is_not_square():
+    # used to give ((0, 1, 0), (0, 0, 1))
+    with pytest.raises(ValueError, match="^element matrix is not square$"):
+        wg.inverse(wg.GroupoidElement(A, A, ((1, 0, 0), (0, 1, 0))))
+
+
 # ---------------------------------------------------------------------------
 # length and descents
 

@@ -776,6 +776,40 @@ MISSHAPEN_CASES = {
         dict(status=None),
         "status: expected one of ('finite', 'truncated') with root sets, got None",
     ),
+    # types, each checked before its field's shape; each of these used to be
+    # accepted (the float and bool entries saved as text that load_scheme
+    # refuses), or refused by a raw TypeError or a misleading message
+    "rank-str": (dict(rank="2"), "rank: expected an integer, got '2'"),
+    "rank-bool": (dict(rank=True), "rank: expected an integer, got True"),
+    "rank-float": (dict(rank=2.0), "rank: expected an integer, got 2.0"),
+    "object-name-int": (dict(objects=("a", 1)), "objects: expected a nonempty array of strings"),
+    "coefficient-str": (
+        dict(coefficients=(((-1, "1"), (-1, 1)), ((1, -1),) * 2)),
+        "coefficients[0][0][1]: expected an integer, got '1'",
+    ),
+    "coefficient-float": (
+        dict(coefficients=(((-1, 1), (-1, 1.5)), ((1, -1),) * 2)),
+        "coefficients[0][1][1]: expected an integer, got 1.5",
+    ),
+    "coefficient-bool": (
+        dict(coefficients=(((-1, 1),) * 2, ((True, -1), (1, -1)))),
+        "coefficients[1][0][0]: expected an integer, got True",
+    ),
+    # equal to -1, so only the type check refuses it
+    "unused-entry-float": (
+        dict(coefficients=(((-1, 1),) * 2, ((1, -1), (1, -1.0)))),
+        "coefficients[1][1][1]: expected an integer, got -1.0",
+    ),
+    "root-entry-none": (
+        dict(positive_roots=(((0, 1), (1, 0), (1, None)), ((0, 1), (1, 0), (1, 1)))),
+        "roots[0][2]: expected an integer, got None",
+    ),
+    "root-entry-float": (
+        dict(positive_roots=(((0, 1), (1, 0), (1, 1)), ((0, 1), (1.0, 0), (1, 1)))),
+        "roots[1][1]: expected an integer, got 1.0",
+    ),
+    "cutoff-str": (dict(cutoff="x"), "cutoff: expected None or an integer of at least 1, got 'x'"),
+    "cutoff-0": (dict(cutoff=0), "cutoff: expected None or an integer of at least 1, got 0"),
 }
 
 
@@ -985,6 +1019,25 @@ def test_validate_leaves_the_gate_tables_exactly_when_it_passes():
         assert "root_tables" not in vars(s)
         with pytest.raises(wg.InconsistentSchemeError, match=f"^{re.escape(_message(report))}$"):
             s.root_tables
+
+
+def test_gate_keeps_its_failure(monkeypatch):
+    # element_of_word falls back to matrices through the gate's raise; the
+    # failure is kept, so the axioms are checked once, not once per word
+    ex = wg.rank3_example()
+    s = dataclasses.replace(
+        ex, positive_roots=(ex.positive_roots[0] + ((1, 2, 3),),) + ex.positive_roots[1:]
+    )
+    calls = []
+    monkeypatch.setattr(wg.scheme, "_checked", lambda s: calls.append(s) or _checked(s))
+    for _ in range(5):
+        wg.element_of_word(s, wg.Word(A, (0, 1, 2, 1, 0)))
+    assert len(calls) == 1
+    message = _message(_checked(s)[0])
+    assert message.startswith("axiom 5 FAIL (generator 1 at object a: ")
+    with pytest.raises(wg.InconsistentSchemeError, match=f"^{re.escape(message)}$"):
+        wg.length(s, wg.element_of_word(s, wg.Word(A, (0,))))
+    assert len(calls) == 1
 
 
 def test_validate_on_truncated_roots_leaves_no_tables():
