@@ -241,17 +241,24 @@ def canonical_reduced_word(s: RootGroupoidScheme, g: GroupoidElement) -> Word:
 
     Deterministic; the result has length(g) letters and evaluates back to
     g.  Raises as root_tables does, and ValueError if g does not fit s
-    (_element_tables) or its columns are not roots of its target.
+    (_element_tables), if its columns are not roots of its target, or if
+    they are but the walk leaves those roots, as for diag(-1, 1, 1) at
+    object 0 of the bundled example.
     """
     if g.is_zero:
         raise ValueError("the zero element has no reduced word")
     tables = _element_tables(s, g)
     try:
         cols = [tables.index[g.target][col] for col in zip(*g.matrix)]
-        return Word(g.source, _stripped_letters(s, g.source, g.target, cols))
     except KeyError:
         raise ValueError(
             "matrix columns are not roots of its target; not a groupoid element"
+        ) from None
+    try:
+        return Word(g.source, _stripped_letters(s, g.source, g.target, cols))
+    except KeyError:
+        raise ValueError(
+            "not a groupoid element: the descent walk leaves the roots of its target"
         ) from None
 
 
@@ -280,21 +287,30 @@ def _stripped_letters(s: RootGroupoidScheme, source: int, target: int, cols) -> 
 def longest_element(s: RootGroupoidScheme, a: int) -> GroupoidElement:
     """The unique maximal-length element with the given source.
 
-    Appends the smallest non-descent to the identity at a until none is
-    left, then inverts by evaluating the letters in reverse order.  The
-    result's length is the number of positive roots.  Raises as
-    root_tables does.
+    Built once per object and kept next to s.root_tables: like them it
+    lives on the instance, outside the fields, so equality, hashing and
+    replace() ignore it.  The first call appends the smallest non-descent
+    to the identity at a until none is left, which ends at the longest
+    element from some b to a.  It sends every simple root to a negative
+    one, and so does its inverse, so its matrix is a negated permutation
+    and the inverse, from a to b, is its transpose: the walk's columns
+    are the rows of the result.  The result's length is the number of
+    positive roots.  Raises as root_tables does.
     """
     check_object(s, a)
-    letters, _, _, j = _greedy_walk(s, a, a, s.root_tables.simple[a], descents=False)
-    if j is None:
-        return element_of_word(s, Word(a, tuple(reversed(letters))))
-    # Unreachable once the tables exist (see _greedy_walk); kept as a guard.
-    raise InconsistentSchemeError(
-        f"longest element from object {s.objects[a]} not reached within "
-        f"{len(s.positive_roots[a])} steps, its number of positive roots; "
-        "scheme data is inconsistent"
-    )
+    tables = s.root_tables
+    cache = vars(s).setdefault("_longest", {})
+    if a not in cache:
+        _, b, cols, j = _greedy_walk(s, a, a, tables.simple[a], descents=False)
+        # Unreachable once the tables exist (see _greedy_walk); kept as a guard.
+        if j is not None:
+            raise InconsistentSchemeError(
+                f"longest element from object {s.objects[a]} not reached within "
+                f"{len(s.positive_roots[a])} steps, its number of positive roots; "
+                "scheme data is inconsistent"
+            )
+        cache[a] = GroupoidElement(a, b, tuple(map(tables.roots[a].__getitem__, cols)))
+    return cache[a]
 
 
 def enumerate_elements(

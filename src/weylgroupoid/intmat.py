@@ -2,7 +2,8 @@
 
 Roots are tuples of ints, morphisms are unimodular integer matrices stored
 as tuples of rows.  Everything stays in integer arithmetic, inversion
-included.
+included: mat_inverse only swaps rows, negates rows and adds integer
+multiples of one row to another, so no entry is ever a fraction.
 
 A reflection matrix (scheme.reflection_from_coefficients(i, c)) differs
 from the identity in row i only, and that row is the coefficient vector
@@ -42,30 +43,51 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
 def mat_inverse(m: Matrix) -> Matrix:
     """Invert an integer matrix whose inverse is again integral.
 
-    Fraction-free Gauss-Jordan elimination (Bareiss) on [m | I]: every
-    division is exact, and at the end the left half is d times the
-    identity, d = +-det(m), and the right half is d times the inverse.
-    Raises ValueError if the matrix is singular or the inverse has a
-    non-integer entry (i.e. the determinant is not a unit).
+    Gauss-Jordan elimination on [m | I] by integer row operations only:
+    swapping two rows, negating one, subtracting an integer multiple of
+    one from another.  Each changes the determinant by a sign at most.
+    Column by column, the rows not yet holding a pivot are reduced
+    Euclid-style: the row whose entry has the smallest absolute value
+    takes from every other row with a nonzero entry (rows with a zero
+    entry are skipped) the multiple of itself that leaves that entry
+    smaller in absolute value, until one nonzero entry is left, the
+    pivot.  The loop is bounded: the smallest absolute entry is a
+    positive integer that strictly falls on every pass.  A column with no
+    pivot means m is singular, which is decided over the whole
+    triangularization first; then a pivot other than +-1 means the
+    determinant, +- the pivots' product, is not a unit.  Otherwise the
+    +-1 pivots clear the entries above them, and the right half is the
+    inverse.  Raises ValueError if the matrix is singular or the inverse
+    has a non-integer entry (i.e. the determinant is not a unit).
     """
     n = len(m)
     aug = [list(m[i]) + [int(i == j) for j in range(n)] for i in range(n)]
-    prev = 1
     for col in range(n):
-        pivot = next((r for r in range(col, n) if aug[r][col] != 0), None)
-        if pivot is None:
-            raise ValueError("matrix is singular")
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        prow = aug[col]
-        p = prow[col]
-        for r in range(n):
-            if r != col:
-                f = aug[r][col]
-                aug[r] = [(p * x - f * y) // prev for x, y in zip(aug[r], prow)]
-        prev = p
-    if any(x % prev for row in aug for x in row[n:]):
+        while True:
+            live = [r for r in range(col, n) if aug[r][col]]
+            if not live:
+                raise ValueError("matrix is singular")
+            p = min(live, key=lambda r: abs(aug[r][col]))
+            if len(live) == 1:
+                break
+            prow = aug[p]
+            d = prow[col]
+            for r in live:
+                if r != p:
+                    q = aug[r][col] // d
+                    aug[r] = [x - q * y for x, y in zip(aug[r], prow)]
+        aug[col], aug[p] = aug[p], aug[col]
+    if any(abs(aug[col][col]) != 1 for col in range(n)):
         raise ValueError("matrix is not invertible over the integers")
-    return tuple(tuple(x // prev for x in row[n:]) for row in aug)
+    for col in reversed(range(n)):
+        prow = aug[col]
+        if prow[col] < 0:
+            prow = aug[col] = [-x for x in prow]
+        for r in range(col):
+            f = aug[r][col]
+            if f:
+                aug[r] = [x - f * y for x, y in zip(aug[r], prow)]
+    return tuple(tuple(row[n:]) for row in aug)
 
 
 def reflect_vector(i: int, c: Vector, v: Vector) -> Vector:

@@ -100,7 +100,10 @@ class RootGroupoidScheme:
     cutoff: int | None = None
 
     def __post_init__(self) -> None:
-        rank, names, roots = self.rank, self.objects, self.positive_roots
+        # Where an array belongs, a value that is no tuple or list reads as
+        # an empty array (_array, here and in _check_ints), as load_scheme
+        # reads a file, so the shape checks name it in load_scheme's words.
+        rank, names, roots = self.rank, _array(self.objects), self.positive_roots
         n = len(names)
         if type(rank) is not int:
             raise SchemeFormatError(f"rank: expected an integer, got {rank!r}")
@@ -113,19 +116,19 @@ class RootGroupoidScheme:
             raise SchemeFormatError(f"objects: duplicate object name {dup!r}")
         if self.mode not in _MODES:
             raise SchemeFormatError(f"mode: expected one of {_MODES}, got {self.mode!r}")
-        _check_ints((self.action,), "action[{1}][{2}]")
-        if len(self.action) != rank:
+        (action,) = _check_ints((self.action,), "action[{1}][{2}]")
+        if len(action) != rank:
             raise SchemeFormatError(f"action: expected {rank} rows")
-        for i, row in enumerate(self.action):
+        for i, row in enumerate(action):
             if len(row) != n:
                 raise SchemeFormatError(f"action[{i}]: expected {n} entries")
             if min(row) < 0 or max(row) >= n:
                 a, t = next((a, t) for a, t in enumerate(row) if not 0 <= t < n)
                 raise SchemeFormatError(f"action[{i}][{a}]: object index {t} out of range")
-        _check_ints(self.coefficients, "coefficients[{}][{}][{}]")
-        if len(self.coefficients) != rank:
+        coefficients = _check_ints(self.coefficients, "coefficients[{}][{}][{}]")
+        if len(coefficients) != rank:
             raise SchemeFormatError(f"coefficients: expected {rank} rows")
-        for i, per_object in enumerate(self.coefficients):
+        for i, per_object in enumerate(coefficients):
             if len(per_object) != n:
                 raise SchemeFormatError(f"coefficients[{i}]: expected {n} entries")
             for a, c in enumerate(per_object):
@@ -143,7 +146,10 @@ class RootGroupoidScheme:
                     f"status: must be None without root sets, got {self.status!r}"
                 )
         else:
-            _check_ints(roots, "roots[{}][{}]")
+            for a, pos in enumerate(_array(roots)):
+                if not isinstance(pos, (list, tuple)):
+                    raise SchemeFormatError(f"roots[{a}]: expected an array of vectors")
+            roots = _check_ints(roots, "roots[{}][{}]")
             if len(roots) != n:
                 raise SchemeFormatError(f"roots: expected {n} per-object arrays")
             for a, pos in enumerate(roots):
@@ -367,34 +373,49 @@ def reflection_matrix(s: RootGroupoidScheme, i: int, a: int) -> Matrix:
 # file format
 
 
-def _check_ints(table, where: str) -> None:
-    """SchemeFormatError at the first entry table[x][y][k] that is not an int,
-    named where.format(x, y, k), after one type pass over the flat table."""
-    if not {*map(type, chain.from_iterable(chain.from_iterable(table)))} <= {int}:
-        x, y, k, v = next(
-            (x, y, k, v) for x, row in enumerate(table) for y, vec in enumerate(row)
-            for k, v in enumerate(vec) if type(v) is not int
-        )
-        raise SchemeFormatError(f"{where.format(x, y, k)}: expected an integer, got {v!r}")
+def _check_ints(table, where: str):
+    """The table, after SchemeFormatError at the first entry table[x][y][k]
+    that is not an int, named where.format(x, y, k).
+
+    One type pass over the flat table decides.  Only if it fails is the
+    table read again, as an _array of _arrays of _arrays, and that reading
+    returned, so that the shape checks that follow name a value that is
+    no array where one belongs.
+    """
+    try:
+        if {*map(type, chain.from_iterable(chain.from_iterable(table)))} <= {int}:
+            return table
+    except TypeError:  # a value where an array belongs is not iterable
+        pass
+    table = tuple(tuple(map(_array, _array(row))) for row in _array(table))
+    for x, row in enumerate(table):
+        for y, vec in enumerate(row):
+            for k, v in enumerate(vec):
+                if type(v) is not int:
+                    raise SchemeFormatError(
+                        f"{where.format(x, y, k)}: expected an integer, got {v!r}"
+                    )
+    return table
 
 
-def _array(value) -> list:
-    """A JSON array as it is, any other value as an empty array.  Each table
-    in a scheme has at least one entry, so the constructor then refuses an
-    empty one by naming how many entries it should have."""
-    return value if isinstance(value, list) else []
+def _array(value):
+    """An array (a list, or in a constructed scheme a tuple) as it is, any
+    other value as an empty tuple.  Each table in a scheme has at least one
+    entry, so the constructor then refuses an empty one by naming how many
+    entries it should have."""
+    return value if isinstance(value, (list, tuple)) else ()
 
 
 def load_scheme(text: str) -> RootGroupoidScheme:
     """Parse a scheme file (UTF-8 JSON).
 
     Checks the JSON structure here (a top-level object with every field,
-    an array of vectors per object under roots, no roots in generated
-    mode; any other value where an array belongs reads as empty), builds
-    the scheme, whose constructor checks types and shapes, then checks
-    the other rules on values (_check_values).  Positions in messages are
-    those in the file; each root set is sorted last.  The root-system
-    axioms are checked separately by validate().
+    no roots in generated mode; any other value where an array belongs
+    reads as empty, as in the constructor), builds the scheme, whose
+    constructor checks types and shapes, then checks the other rules on
+    values (_check_values).  Positions in messages are those in the file;
+    each root set is sorted last.  The root-system axioms are checked
+    separately by validate().
     """
     try:
         data = json.loads(text)
@@ -410,12 +431,11 @@ def load_scheme(text: str) -> RootGroupoidScheme:
     mode = data["mode"]
     roots = None
     if mode == PRESCRIBED and "roots" in data:
-        roots = []
-        for a, vecs in enumerate(_array(data["roots"])):
-            if not isinstance(vecs, list):
-                raise SchemeFormatError(f"roots[{a}]: expected an array of vectors")
-            roots.append(tuple(tuple(_array(v)) for v in vecs))
-        roots = tuple(roots)
+        # a root set that is no array is passed on for the constructor to name
+        roots = tuple(
+            tuple(tuple(_array(v)) for v in vecs) if isinstance(vecs, list) else vecs
+            for vecs in _array(data["roots"])
+        )
 
     s = RootGroupoidScheme(
         rank=data["rank"],

@@ -7,7 +7,7 @@ import pytest
 
 import weylgroupoid as wg
 from weylgroupoid import MINUS_INFINITY, ZERO, Word
-from weylgroupoid.groupoid import generator_element, identity_element
+from weylgroupoid.groupoid import _greedy_walk, generator_element, identity_element
 from weylgroupoid.intmat import identity_matrix
 from weylgroupoid.scheme import _checked
 
@@ -196,6 +196,20 @@ def test_canonical_word_rejects_a_matrix_that_is_no_element(ex5):
         wg.canonical_reduced_word(ex5, g)
 
 
+@pytest.mark.parametrize("matrix, message", [
+    # twice the first simple root is not a root of a
+    (((2, 0, 0), (0, 1, 0), (0, 0, 1)),
+     "matrix columns are not roots of its target; not a groupoid element"),
+    # the columns -alpha1, alpha2 and alpha3 are roots of a, but no element
+    # has them: stripping the descent 0 leaves the roots
+    (((-1, 0, 0), (0, 1, 0), (0, 0, 1)),
+     "not a groupoid element: the descent walk leaves the roots of its target"),
+], ids=["columns-not-roots", "walk-leaves-roots"])
+def test_canonical_word_names_why_a_matrix_is_no_element(ex5, matrix, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        wg.canonical_reduced_word(ex5, wg.GroupoidElement(A, A, matrix))
+
+
 def test_canonical_word_is_bounded_on_inconsistent_roots(affine_file):
     # (1 2)^2 has no reduced word within the two stored positive roots; the
     # root tables refuse the file before any walk starts
@@ -317,6 +331,52 @@ def test_longest_unique_per_source(ex5):
             g for g in wg.enumerate_elements(ex5, a) if wg.length(ex5, g) == 10
         ]
         assert maximal == [w0]
+
+
+def _chain(n, bonds=()):
+    """The Cartan matrix of the chain 1 - 2 - ... - n, each pair of entries
+    in bonds (0-based (i, j): (a_ij, a_ji)) replacing or adding a bond."""
+    m = [[2 if i == j else -(abs(i - j) == 1) for j in range(n)] for i in range(n)]
+    for (i, j), (x, y) in dict(bonds).items():
+        m[i][j], m[j][i] = x, y
+    return tuple(map(tuple, m))
+
+
+LONGEST_SCHEMES = {
+    "EX": wg.rank3_example,
+    "BI3": lambda: wg.generate_roots(
+        wg.from_bicharacter(((3, 2, 0), (0, 3, 2), (0, 0, 3)), 12, 6), 30),
+    "BI4": lambda: wg.generate_roots(
+        wg.from_bicharacter(((2, 2, 0, 0), (0, 2, 1, 0), (0, 0, 3, 1), (0, 0, 0, 3)), 12, 4), 30),
+    "A4": lambda: wg.generate_roots(wg.from_cartan(_chain(4)), 30),
+    "B4": lambda: wg.generate_roots(wg.from_cartan(_chain(4, {(2, 3): (-1, -2)})), 30),
+    "D5": lambda: wg.generate_roots(wg.from_cartan(_chain(5, {(3, 4): (0, 0), (2, 4): (-1, -1)})), 30),
+    "F4": lambda: wg.generate_roots(wg.from_cartan(_chain(4, {(1, 2): (-1, -2)})), 30),
+    "E6": lambda: wg.generate_roots(wg.from_cartan(E6), 30),
+}
+
+
+@pytest.mark.parametrize("make", LONGEST_SCHEMES.values(), ids=LONGEST_SCHEMES)
+def test_longest_element_is_kept_per_object(make):
+    # w0 from a is the transpose of the walk's end, kept once per object;
+    # it used to be the reversed walk evaluated as a word on every call
+    s = make()
+    negated_unit = sorted([-1] + [0] * (s.rank - 1))
+    for a in range(s.n_objects):
+        letters, *_ = _greedy_walk(s, a, a, s.root_tables.simple[a], descents=False)
+        w0 = wg.longest_element(s, a)
+        assert w0 == wg.element_of_word(s, Word(a, tuple(reversed(letters))))
+        assert wg.length(s, w0) == len(s.positive_roots[a])
+        # a negated permutation matrix: one -1 in every row and every column
+        assert all(sorted(line) == negated_unit for line in (*w0.matrix, *zip(*w0.matrix)))
+        assert wg.longest_element(s, a) == w0
+    # the copy is equal, and builds its own cache
+    t = dataclasses.replace(s)
+    assert t == s and hash(t) == hash(s) and "_longest" not in vars(t)
+    assert [wg.longest_element(t, a) for a in range(t.n_objects)] == [
+        wg.longest_element(s, a) for a in range(s.n_objects)
+    ]
+    assert vars(t)["_longest"] is not vars(s)["_longest"]
 
 
 def test_enumerate_is_bounded_on_inconsistent_roots(affine_file):

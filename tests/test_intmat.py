@@ -43,5 +43,17 @@ def test_mat_inverse_rejects_non_integer():
         mat_inverse(((2, 0), (0, 1)))
 
 
+def test_mat_inverse_takes_euclid_steps():
+    # column 0 holds 3 and 2: the row of 2 reduces the other to 1, which
+    # then clears it; the determinant is -1
+    assert mat_inverse(((3, 5), (2, 3))) == ((-3, 5), (2, -3))
+
+
+def test_mat_inverse_decides_singular_before_non_unit_pivots():
+    # the first pivot, 2, is no unit, but the second column has no pivot
+    with pytest.raises(ValueError, match="^matrix is singular$"):
+        mat_inverse(((2, 2), (2, 2)))
+
+
 def test_height():
     assert height((1, -2, 3)) == 6

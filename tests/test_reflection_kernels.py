@@ -4,6 +4,7 @@ against dense products and brute force."""
 import dataclasses
 import functools
 import re
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -113,6 +114,46 @@ def test_mat_inverse_is_two_sided(p, data):
     singular = tuple(src if r == k else row for r, row in enumerate(p))
     with pytest.raises(ValueError, match="singular"):
         mat_inverse(singular)
+
+
+def _rational_inverse(m):
+    """m's inverse by Gauss-Jordan elimination over the rationals, or the
+    message with which mat_inverse refuses m."""
+    n = len(m)
+    aug = [[Fraction(x) for x in row] + [Fraction(int(r == c)) for c in range(n)]
+           for r, row in enumerate(m)]
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if aug[r][col]), None)
+        if pivot is None:
+            return "matrix is singular"
+        aug[col], aug[pivot] = aug[pivot], aug[col]
+        d = aug[col][col]
+        prow = aug[col] = [x / d for x in aug[col]]
+        for r in range(n):
+            if r != col:
+                f = aug[r][col]
+                aug[r] = [x - f * y for x, y in zip(aug[r], prow)]
+    if any(x.denominator != 1 for row in aug for x in row[n:]):
+        return "matrix is not invertible over the integers"
+    return tuple(tuple(int(x) for x in row[n:]) for row in aug)
+
+
+# square integer matrices of size 1-6 with entries -3..3: mostly singular or
+# of a determinant that is no unit, and products of reflections, which are
+# unimodular
+_SMALL_MATRICES = st.integers(1, 6).flatmap(lambda n: st.lists(
+    st.lists(st.integers(-3, 3), min_size=n, max_size=n).map(tuple), min_size=n, max_size=n,
+).map(tuple))
+
+
+@PROPERTY
+@given(st.one_of(_SMALL_MATRICES, _reflection_product()))
+def test_mat_inverse_matches_rational_elimination(m):
+    try:
+        got = mat_inverse(m)
+    except ValueError as e:
+        got = str(e)
+    assert got == _rational_inverse(m)
 
 
 @st.composite

@@ -823,6 +823,41 @@ def test_table_of_the_wrong_size_is_named(change, message):
         dataclasses.replace(wg.RootGroupoidScheme(**A2_SWAPPED), **change)
 
 
+# one-object A2 with its roots stored
+A2_ONE_OBJECT = dict(
+    rank=2, objects=("a",), action=((0,), (0,)),
+    coefficients=(((-1, 1),), ((1, -1),)), mode=wg.PRESCRIBED,
+    positive_roots=(((0, 1), (1, 0), (1, 1)),), status=wg.FINITE,
+)
+
+# field changes to A2_ONE_OBJECT that nest a table one level too shallow,
+# or give the object names as one string, and the fault named; each used
+# to raise a raw TypeError from the type pass, and the string was read as
+# the names "a" and "b"
+SHALLOW_CASES = {
+    "objects-str": (dict(objects="ab"), "objects: expected a nonempty array of strings"),
+    "action-shallow": (dict(action=(0, 1)), "action[0]: expected 1 entries"),
+    "coefficients-shallow": (dict(coefficients=(5, 6)), "coefficients[0]: expected 1 entries"),
+    "roots-shallow": (dict(positive_roots=((1,),)), "roots[0][0]: expected 2 integers"),
+}
+
+
+@pytest.mark.parametrize("change, message", SHALLOW_CASES.values(), ids=SHALLOW_CASES)
+def test_shallow_table_is_named_as_in_a_file(change, message):
+    # the constructor names the value as load_scheme names it in a file
+    fields = {**A2_ONE_OBJECT, **change}
+    pattern = f"^{re.escape(message)}$"
+    with pytest.raises(SchemeFormatError, match=pattern):
+        wg.RootGroupoidScheme(**fields)
+    text = json.dumps({
+        "rank": fields["rank"], "objects": fields["objects"], "action": fields["action"],
+        "coefficients": fields["coefficients"], "mode": fields["mode"],
+        "roots": fields["positive_roots"],
+    })
+    with pytest.raises(SchemeFormatError, match=pattern):
+        wg.load_scheme(text)
+
+
 # field changes to A2_SWAPPED that the constructor accepts and the file
 # format refuses, one per rule on values, and the fault named
 VALUE_CASES = {
