@@ -12,7 +12,11 @@ can never be "mismatched" and its evaluation is never zero.
 On a finite scheme an element's matrix columns, the images of the simple
 roots, are roots of its target, so word evaluation, length, the weak-order
 walk and enumeration work on their indices in the scheme's root tables
-(RootGroupoidScheme.root_tables).
+(RootGroupoidScheme.root_tables).  The elements that element_of_word and
+longest_element return keep those indices; any other element has them
+looked up once, on its first query.  Length and the canonical reduced
+word are both read off one walk that strips right descents, made once
+per element and kept with its indices.
 """
 
 from __future__ import annotations
@@ -52,6 +56,11 @@ class GroupoidElement:
     @property
     def is_zero(self) -> bool:
         return self.matrix is None
+
+    def __getstate__(self) -> dict:
+        # copies and pickles hold the fields, not the root indices that
+        # _keep adds
+        return {k: v for k, v in vars(self).items() if k != "_indices"}
 
 
 ZERO = GroupoidElement(None, None, None)
@@ -94,14 +103,26 @@ def _element(tables: RootTables, source: int, target: int, cols) -> GroupoidElem
     return GroupoidElement(source, target, tuple(zip(*map(tables.roots[target].__getitem__, cols))))
 
 
+def _keep(g: GroupoidElement, tables: RootTables, cols: tuple[int, ...]) -> GroupoidElement:
+    """g, holding cols, the root indices of its columns in tables.
+
+    They live on the instance, outside the fields, so equality, hashing,
+    repr and replace() ignore them; next to them sits the memo of the
+    descent walk (_stripped).
+    """
+    vars(g)["_indices"] = [tables, cols, None]
+    return g
+
+
 def element_of_word(s: RootGroupoidScheme, w: Word) -> GroupoidElement:
     """Evaluate a word: the product of its reflection matrices.
 
     Letters act rightmost first.  With root tables the simple roots of the
-    base, the columns, are carried through by index lookups; without them
-    (roots missing or truncated, or breaking one of the seven axioms) each
-    reflection replaces row i of the matrix M by c.M, c its coefficients.
-    Either way the result is never zero, and root data raises nothing.
+    base, the columns, are carried through by index lookups, and the
+    result keeps their indices (_keep); without them (roots missing or
+    truncated, or breaking one of the seven axioms) each reflection
+    replaces row i of the matrix M by c.M, c its coefficients.  Either
+    way the result is never zero, and root data raises nothing.
     """
     try:
         path, cols = _word_columns(s, w.letters, w.base)
@@ -111,17 +132,27 @@ def element_of_word(s: RootGroupoidScheme, w: Word) -> GroupoidElement:
         for i, a in zip(reversed(w.letters), reversed(path[1:])):
             m = m[:i] + (mat_vec(transpose(m), s.coefficients[i][a]),) + m[i + 1 :]
         return GroupoidElement(w.base, path[0], m)
-    return _element(s.root_tables, w.base, path[0], cols)
+    tables = s.root_tables
+    return _keep(_element(tables, w.base, path[0], cols), tables, cols)
 
 
 def _word_columns(s: RootGroupoidScheme, letters, base: int):
     """The word's path (see word_path), then the root indices of its columns:
-    the simple roots of the base carried through the letters, rightmost first."""
-    path = word_path(s, letters, base)
+    the simple roots of the base carried through the letters, rightmost
+    first.  Checks the base and the letters, as word_path does, before it
+    reads the root tables."""
+    check_object(s, base)
+    if letters and not (0 <= min(letters) and max(letters) < s.rank):
+        word_path(s, letters, base)  # raises naming the bad letter
     tables = s.root_tables
+    action, sigma = s.action, tables.sigma
+    path = [base] * (len(letters) + 1)
     cols = tables.simple[base]
-    for i, a in zip(reversed(letters), reversed(path[1:])):
-        cols = tuple(map(tables.sigma[i][a].__getitem__, cols))
+    for k in range(len(letters) - 1, -1, -1):
+        i = letters[k]
+        a = path[k + 1]
+        cols = tuple(map(sigma[i][a].__getitem__, cols))
+        path[k] = action[i][a]
     return path, cols
 
 
@@ -144,16 +175,46 @@ def inverse(g: GroupoidElement) -> GroupoidElement:
     return GroupoidElement(g.target, g.source, mat_inverse(g.matrix))
 
 
-def _element_tables(s: RootGroupoidScheme, g: GroupoidElement) -> RootTables:
-    """s.root_tables (raising as they do), then ValueError unless the nonzero
-    g fits s: source and target are objects of s, the matrix is rank x rank."""
-    tables, n, rank = s.root_tables, s.n_objects, s.rank
+def _indices(s: RootGroupoidScheme, g: GroupoidElement) -> list:
+    """The nonzero g's [tables, column indices, stripped letters or None] for s.
+
+    Raises as s.root_tables does first.  The entry that _keep left is
+    used when its tables are s's own; otherwise g must fit s (source and
+    target objects of s, a rank x rank matrix, else ValueError), each
+    column is looked up once among the roots of g's target (ValueError
+    if one is not a root), and the result is kept in the same way.
+    """
+    tables = s.root_tables
+    entry = vars(g).get("_indices")
+    if entry is not None and entry[0] is tables:
+        return entry
+    n, rank = s.n_objects, s.rank
     if not (0 <= g.source < n and 0 <= g.target < n):
         check_object(s, g.source)
         check_object(s, g.target)
     if len(g.matrix) != rank or any(map(rank.__ne__, map(len, g.matrix))):
         raise ValueError(f"element matrix is not {rank} x {rank}")
-    return tables
+    try:
+        cols = tuple(map(tables.index[g.target].__getitem__, zip(*g.matrix)))
+    except KeyError:
+        raise ValueError(
+            "matrix columns are not roots of its target; not a groupoid element"
+        ) from None
+    return vars(_keep(g, tables, cols))["_indices"]
+
+
+def _stripped(s: RootGroupoidScheme, g: GroupoidElement) -> tuple[int, ...]:
+    """The letters of g's canonical reduced word, walked once per element
+    and kept with its indices (_indices, which raises first)."""
+    entry = _indices(s, g)
+    if entry[2] is None:
+        try:
+            entry[2] = _stripped_letters(s, g.source, g.target, entry[1])
+        except KeyError:
+            raise ValueError(
+                "not a groupoid element: the descent walk leaves the roots of its target"
+            ) from None
+    return entry[2]
 
 
 def length(s: RootGroupoidScheme, g: GroupoidElement):
@@ -161,18 +222,15 @@ def length(s: RootGroupoidScheme, g: GroupoidElement):
 
     Equals the minimal number of generators in any word evaluating to g,
     which needs the roots to pass the axioms that root_tables checks.
-    Roots are sign coherent, so g sends beta to a negative root exactly
-    when h.beta < 0, where h holds the heights of g's columns.  Raises as
-    root_tables does, and ValueError if g does not fit s (_element_tables).
-    Not checked: that g is a groupoid element.  On the bundled example
-    diag(-1, 1, 1) at object 0, whose columns are roots, gets length 1;
-    no check cheaper than canonical_reduced_word's walk refuses it.
+    Under them each stripped right descent lowers that number by one, so
+    it is the number of letters of canonical_reduced_word, whose walk it
+    shares.  Raises as canonical_reduced_word does: a matrix that is no
+    groupoid element, such as diag(2, 1, 1) or diag(-1, 1, 1) at object
+    0 of the bundled example, gets a ValueError, not a length.
     """
     if g.is_zero:
         return MINUS_INFINITY
-    _element_tables(s, g)
-    h = [sum(col) for col in zip(*g.matrix)]
-    return sum(1 for r in s.positive_roots[g.source] if sum(map(operator.mul, h, r)) < 0)
+    return len(_stripped(s, g))
 
 
 def is_descent(s: RootGroupoidScheme, g: GroupoidElement, j: int) -> bool:
@@ -180,14 +238,15 @@ def is_descent(s: RootGroupoidScheme, g: GroupoidElement, j: int) -> bool:
 
     True exactly when g sends the j-th simple root of its source to a
     negative root of its target.  Raises as root_tables does, and
-    ValueError if g does not fit s (_element_tables), all it checks of g:
-    as for length, diag(-1, 1, 1) on the bundled example has descent 0.
+    ValueError if g does not fit s or has a column that is not a root of
+    its target (_indices).  That is all it checks of g, and no walk is
+    made: diag(-1, 1, 1) at object 0 of the bundled example, whose
+    columns are roots but which is no element, has the descent 0.
     """
     if g.is_zero:
         raise ValueError("the zero element has no descents")
     check_generator(s, j)
-    _element_tables(s, g)
-    return all(row[j] <= 0 for row in g.matrix)
+    return _indices(s, g)[1][j] < 0
 
 
 def _append_generator(
@@ -228,8 +287,10 @@ def _greedy_walk(s: RootGroupoidScheme, source: int, target: int, cols, descents
     bound = len(s.positive_roots[source])
     tables = s.root_tables
     letters = []
+    # cols[j] is a descent's index exactly when 0 > cols[j]
+    wanted = (0).__gt__ if descents else (-1).__lt__
     while True:
-        j = next((j for j, k in enumerate(cols) if (k < 0) == descents), None)
+        j = next(itertools.compress(itertools.count(), map(wanted, cols)), None)
         if j is None or len(letters) == bound:
             return letters, source, list(cols), j
         letters.append(j)
@@ -240,26 +301,14 @@ def canonical_reduced_word(s: RootGroupoidScheme, g: GroupoidElement) -> Word:
     """Reduced word for g obtained by stripping smallest right descents.
 
     Deterministic; the result has length(g) letters and evaluates back to
-    g.  Raises as root_tables does, and ValueError if g does not fit s
-    (_element_tables), if its columns are not roots of its target, or if
-    they are but the walk leaves those roots, as for diag(-1, 1, 1) at
-    object 0 of the bundled example.
+    g.  Raises as root_tables does, and ValueError if g does not fit s, if
+    its columns are not roots of its target (_indices), or if they are
+    but the walk leaves those roots, as for diag(-1, 1, 1) at object 0 of
+    the bundled example.
     """
     if g.is_zero:
         raise ValueError("the zero element has no reduced word")
-    tables = _element_tables(s, g)
-    try:
-        cols = [tables.index[g.target][col] for col in zip(*g.matrix)]
-    except KeyError:
-        raise ValueError(
-            "matrix columns are not roots of its target; not a groupoid element"
-        ) from None
-    try:
-        return Word(g.source, _stripped_letters(s, g.source, g.target, cols))
-    except KeyError:
-        raise ValueError(
-            "not a groupoid element: the descent walk leaves the roots of its target"
-        ) from None
+    return Word(g.source, _stripped(s, g))
 
 
 def _stripped_letters(s: RootGroupoidScheme, source: int, target: int, cols) -> tuple[int, ...]:
@@ -295,7 +344,9 @@ def longest_element(s: RootGroupoidScheme, a: int) -> GroupoidElement:
     one, and so does its inverse, so its matrix is a negated permutation
     and the inverse, from a to b, is its transpose: the walk's columns
     are the rows of the result.  The result's length is the number of
-    positive roots.  Raises as root_tables does.
+    positive roots.  It keeps its column indices (_keep), so the walk of
+    its length and canonical word is made once too.  Raises as
+    root_tables does.
     """
     check_object(s, a)
     tables = s.root_tables
@@ -309,7 +360,8 @@ def longest_element(s: RootGroupoidScheme, a: int) -> GroupoidElement:
                 f"{len(s.positive_roots[a])} steps, its number of positive roots; "
                 "scheme data is inconsistent"
             )
-        cache[a] = GroupoidElement(a, b, tuple(map(tables.roots[a].__getitem__, cols)))
+        w0 = GroupoidElement(a, b, tuple(map(tables.roots[a].__getitem__, cols)))
+        cache[a] = _keep(w0, tables, tuple(map(tables.index[b].__getitem__, zip(*w0.matrix))))
     return cache[a]
 
 
@@ -330,18 +382,21 @@ def enumerate_elements(
         check_object(s, source)
     bound = max(len(pos) for pos in s.positive_roots)
     sources = range(s.n_objects) if source is None else (source,)
-    generators = list(zip(s.action, tables.sigma))
-    # (source, target, column indices) per element
-    frontier = [(a, a, tables.simple[a]) for a in sources]
-    depth = dict.fromkeys(frontier, 0)
+    generators = list(enumerate(zip(s.action, tables.sigma)))
+    # (source, target, column indices) per element, with the frontier's
+    # elements paired with the generator that produced them, which leads
+    # back to the element they came from (-1 for the identities)
+    frontier = [((a, a, tables.simple[a]), -1) for a in sources]
+    depth = {key: 0 for key, _ in frontier}
     for level in range(1, bound + 2):
         nxt = []
-        for a, b, cols in frontier:
-            for action, sigma in generators:
-                key = (a, action[b], tuple(map(sigma[b].__getitem__, cols)))
-                if key not in depth:
-                    depth[key] = level
-                    nxt.append(key)
+        for (a, b, cols), last in frontier:
+            for i, (action, sigma) in generators:
+                if i != last:
+                    key = (a, action[b], tuple(map(sigma[b].__getitem__, cols)))
+                    if key not in depth:
+                        depth[key] = level
+                        nxt.append((key, i))
         frontier = nxt
     # Unreachable once the tables exist: under the seven axioms they check
     # no element is longer than its source's positive roots.  Kept as a guard.

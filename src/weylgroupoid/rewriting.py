@@ -8,12 +8,16 @@ are connected by such moves, so braid search decides the word problem for
 reduced words; the search enforces this as a runtime assertion and fails
 hard if it would have to leave the element's reduced-word set.  The search
 runs on letter tuples at a fixed base and reads m from the scheme's
-rank-two table; Word and BraidMove are built only for its results.
+rank-two table; Word and BraidMove are built only for its results.  Each
+word it reaches carries its object path, derived from the path of the
+word it came from, since a move changes only the objects inside its
+segment.
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 
 from .groupoid import (
@@ -24,7 +28,6 @@ from .groupoid import (
     _word_columns,
     canonical_reduced_word,
     element_of_word,
-    length,
 )
 from .roots import rank_two_count
 from .scheme import FINITE, RootGroupoidScheme, check_generator, word_path
@@ -55,14 +58,14 @@ class MoveChain:
     end: Word
 
 
-def _segments(s: RootGroupoidScheme, letters: tuple[int, ...], base: int, positions=None) -> list:
+def _segments(s: RootGroupoidScheme, letters: tuple[int, ...], path: list, positions=None) -> list:
     """The braid moves of a word as (position, first, second, m, anchor) tuples,
-    at every position or only at those given.  On finite data m is read
-    from the rank-two table of root_tables, elsewhere from rank_two_count;
-    either asks for root data at the first pair of distinct letters.  A
-    segment qualifies when its m letters repeat with period two.
+    at every position or only at those given; path is the word's object
+    path (word_path).  On finite data m is read from the rank-two table of
+    root_tables, elsewhere from rank_two_count; either asks for root data
+    at the first pair of distinct letters.  A segment qualifies when its
+    m letters repeat with period two.
     """
-    path = word_path(s, letters, base)
     n = len(letters)
     counts = None  # the rank-two table of the root tables, on finite data
     found = []
@@ -99,7 +102,7 @@ def applicable_moves(s: RootGroupoidScheme, w: Word) -> list[BraidMove]:
     Raises as root_tables does on finite roots (InconsistentSchemeError
     naming the first of the seven axioms that fails).
     """
-    return [BraidMove(*seg) for seg in _segments(s, w.letters, w.base)]
+    return [BraidMove(*seg) for seg in _segments(s, w.letters, word_path(s, w.letters, w.base))]
 
 
 def apply_move(s: RootGroupoidScheme, w: Word, mv: BraidMove) -> Word:
@@ -111,28 +114,72 @@ def apply_move(s: RootGroupoidScheme, w: Word, mv: BraidMove) -> Word:
     evaluation.  Applying the induced move at the same position again
     restores the original word.
     """
+    path = word_path(s, w.letters, w.base)
     p = mv.position
     at = [p] if p in range(len(w.letters) - 1) else []
-    segs = _segments(s, w.letters, w.base, at)
+    segs = _segments(s, w.letters, path, at)
     if segs != [(p, mv.first, mv.second, mv.m, mv.anchor)]:
         raise ValueError("move is not applicable to this word")
     return Word(w.base, _swapped(w.letters, segs[0]))
 
 
-def _next_level(s: RootGroupoidScheme, base: int, frontier: list, parents: dict) -> list:
-    """The letter tuples one braid move from the frontier that parents does not hold yet.
+def _is_reduced(s: RootGroupoidScheme, letters: tuple[int, ...], path: list) -> bool:
+    """Whether the word with this object path (word_path) is reduced.
 
-    All words are based at base.  Expands the frontier in tuple order;
-    records each new word in parents as letters -> (previous letters,
-    segment).
+    Under the axioms that root_tables checks, putting letter m in front of
+    the letters to its right lengthens their product exactly when the
+    simple root of letter m, carried back through those letters to the
+    base, is positive; the word is reduced when every such root is.  The
+    roots are carried by index lookups, all in one pass from the left.
+    Raises as root_tables does.
+    """
+    tables = s.root_tables
+    sigma, simple = tables.sigma, tables.simple
+    carried: tuple[int, ...] = ()
+    for m, i in enumerate(letters):
+        carried = (*map(sigma[i][path[m]].__getitem__, carried), simple[path[m + 1]][i])
+    return min(carried, default=0) >= 0
+
+
+def _moved_path(s: RootGroupoidScheme, letters: tuple[int, ...], path: list, p: int, m: int) -> list:
+    """The object path of letters, a word that a braid move at position p
+    with m letters made from a word with the given path.  Only the objects
+    inside the segment change; if the relation does not close on them,
+    the whole prefix is recomputed."""
+    action = s.action
+    out = path[:]
+    for k in range(p + m - 1, p, -1):
+        out[k] = action[letters[k]][out[k + 1]]
+    if action[letters[p]][out[p + 1]] != path[p]:
+        out[: p + 2] = word_path(s, letters[: p + 1], out[p + 1])
+    return out
+
+
+def _next_level(s: RootGroupoidScheme, frontier: list, parents: dict) -> list:
+    """The words one braid move from the frontier that parents does not hold yet.
+
+    A frontier entry is (letters, path, segment): a start word with its
+    object path (word_path) and None, or a word with the path of the word
+    it came from and the segment of the move that made it.  The move at
+    that position leads back to a word already in parents, so it is not
+    tried.  Expands the frontier in letter order; records each new word
+    in parents as letters -> (previous letters, segment), and returns the
+    new entries.
     """
     nxt = []
-    for letters in sorted(frontier):
-        for seg in _segments(s, letters, base):
+    for letters, path, made in sorted(frontier, key=operator.itemgetter(0)):
+        n = len(letters)
+        if made is None:
+            at = range(n - 1)
+        else:
+            p = made[0]
+            path = _moved_path(s, letters, path, p, made[3])
+            at = itertools.chain(range(p), range(p + 1, n - 1))
+        for seg in _segments(s, letters, path, at):
             new = _swapped(letters, seg)
             if new not in parents:
                 parents[new] = (letters, seg)
-                nxt.append(new)
+                nxt.append((new, path, seg))
     return nxt
 
 
@@ -155,19 +202,20 @@ def braid_connect(s: RootGroupoidScheme, u: Word, v: Word) -> MoveChain:
                 f"{s.objects[gu.target]} != {s.objects[gv.target]}"
             )
         raise ValueError("words evaluate to different elements")
-    n = length(s, gu)
-    if n != len(u.letters):
+    paths = [word_path(s, w.letters, w.base) for w in (u, v)]
+    if not _is_reduced(s, u.letters, paths[0]):
         raise ValueError("first word is not reduced")
-    if n != len(v.letters):
+    if not _is_reduced(s, v.letters, paths[1]):
         raise ValueError("second word is not reduced")
 
     if u == v:
         return MoveChain(u, (), v)
 
-    # letters -> (previous letters, segment) and the frontier, u side 0 and
-    # v side 1; every word of the search is based at u.base
+    # letters -> (previous letters, segment) and the frontier (entries as
+    # in _next_level), u side 0 and v side 1; every word of the search is
+    # based at u.base
     parents: tuple[dict, dict] = ({u.letters: None}, {v.letters: None})
-    frontiers = [[u.letters], [v.letters]]
+    frontiers = [[(u.letters, paths[0], None)], [(v.letters, paths[1], None)]]
 
     meets: list[tuple[int, ...]] = []
     while not meets:
@@ -179,8 +227,8 @@ def braid_connect(s: RootGroupoidScheme, u: Word, v: Word) -> MoveChain:
             )
         # expand the smaller frontier; ties expand the u side
         side = 0 if len(frontiers[0]) <= len(frontiers[1]) else 1
-        frontiers[side] = _next_level(s, u.base, frontiers[side], parents[side])
-        meets = [w for w in frontiers[side] if w in parents[1 - side]]
+        frontiers[side] = _next_level(s, frontiers[side], parents[side])
+        meets = [w for w, *_ in frontiers[side] if w in parents[1 - side]]
     meet = min(meets)
 
     # walk back from the meet to u, then on from the meet to v; the
@@ -214,9 +262,10 @@ def all_reduced_words(s: RootGroupoidScheme, g: GroupoidElement) -> set[Word]:
     if g.is_zero:
         raise ValueError("the zero element has no reduced words")
     start = canonical_reduced_word(s, g)
-    frontier, parents = [start.letters], {start.letters: None}
+    frontier = [(start.letters, word_path(s, start.letters, start.base), None)]
+    parents = {start.letters: None}
     while frontier:
-        frontier = _next_level(s, start.base, frontier, parents)
+        frontier = _next_level(s, frontier, parents)
     return {Word(start.base, letters) for letters in parents}
 
 
@@ -272,7 +321,7 @@ def weak_exchange_factor(
     path, cols = _word_columns(s, w.letters, a)
     tables = s.root_tables
     target = path[0]
-    if len(_stripped_letters(s, a, target, cols)) != m:
+    if not _is_reduced(s, w.letters, path):
         raise ValueError("word is not reduced")
     simple_index = next((k for k in range(s.rank) if cols[j] == tables.simple[target][k]), None)
     if simple_index is None:

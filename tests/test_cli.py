@@ -380,3 +380,29 @@ def test_machine_output_is_stable(scheme_file, capsys):
 
 def test_usage_error_exit_code(capsys):
     assert main(["act"]) == 2  # missing required flags
+
+
+def test_out_of_memory_is_reported_in_one_line(scheme_file, capsys, monkeypatch):
+    def exhausted(s, source=None):
+        raise MemoryError
+
+    monkeypatch.setattr(wg.groupoid, "enumerate_elements", exhausted)
+    assert main(["enumerate", "--scheme", scheme_file, "--machine"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: enumerate ran out of memory\n"
+
+
+def test_enumerate_prints_each_element_with_its_length(scheme_file, capsys):
+    # the length column is walked only at the elements that bisection picks
+    s = wg.rank3_example()
+    code, out = run(capsys, "enumerate", "--scheme", scheme_file, "--machine")
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[0] == "count 300"
+    want = [
+        f"element {s.objects[g.source]} {s.objects[g.target]} {wg.length(s, g)} "
+        + " ".join(str(x) for row in g.matrix for x in row)
+        for g in wg.enumerate_elements(s)
+    ]
+    assert lines[1:] == want

@@ -1,5 +1,8 @@
+import copy
 import dataclasses
 import itertools
+import operator
+import pickle
 import random
 import re
 
@@ -559,3 +562,117 @@ def test_all_rank_two_relations_hold(ex5):
             assert wg.element_of_word(ex5, Word(a, side_i)) == wg.element_of_word(
                 ex5, Word(a, side_j)
             )
+
+
+# ---------------------------------------------------------------------------
+# elements that keep their root indices
+
+
+def _dot_product_length(s, g):
+    """Positive roots of g's source sent to negative roots, by dot products:
+    roots are sign coherent, so the sign of h.beta decides, h the heights
+    of g's columns."""
+    h = [sum(col) for col in zip(*g.matrix)]
+    return sum(1 for r in s.positive_roots[g.source] if sum(map(operator.mul, h, r)) < 0)
+
+
+KEPT_INDEX_SCHEMES = {
+    "EX": wg.rank3_example,
+    "BI3": LONGEST_SCHEMES["BI3"],
+    "BI4": LONGEST_SCHEMES["BI4"],
+    "B3": lambda: wg.generate_roots(wg.from_cartan(_chain(3, {(1, 2): (-1, -2)})), 30),
+    "G2": lambda: wg.generate_roots(wg.from_cartan(((2, -1), (-3, 2))), 30),
+}
+
+
+@pytest.mark.parametrize("make", KEPT_INDEX_SCHEMES.values(), ids=KEPT_INDEX_SCHEMES)
+def test_hand_built_elements_answer_as_evaluated_words(make):
+    # enumeration attaches no indices, so each query on a hand-built copy
+    # looks them up; the evaluated canonical word carries its own
+    s = make()
+    for g in wg.enumerate_elements(s):
+        assert "_indices" not in vars(g)
+        copy_ = wg.GroupoidElement(g.source, g.target, g.matrix)
+        w = wg.canonical_reduced_word(s, copy_)
+        e = wg.element_of_word(s, w)
+        assert vars(e)["_indices"][0] is s.root_tables
+        assert e == copy_
+        assert wg.length(s, copy_) == wg.length(s, e) == len(w) == _dot_product_length(s, g)
+        descents = [j for j in range(s.rank) if wg.is_descent(s, copy_, j)]
+        assert descents == [j for j in range(s.rank) if wg.is_descent(s, e, j)]
+        assert wg.canonical_reduced_word(s, e) == w
+
+
+def test_length_of_e8_longest_element():
+    e8 = wg.generate_roots(wg.from_cartan(_chain(8, {(6, 7): (0, 0), (2, 7): (-1, -1)})), 30)
+    w0 = wg.longest_element(e8, 0)
+    assert wg.length(e8, w0) == 120 == _dot_product_length(e8, w0)
+    assert all(wg.is_descent(e8, w0, j) for j in range(8))
+
+
+def test_length_agrees_with_dot_products_on_random_words(ex5):
+    rng = random.Random(67)
+    for _ in range(200):
+        letters = tuple(rng.randrange(3) for _ in range(rng.randint(0, 14)))
+        g = wg.element_of_word(ex5, Word(rng.randrange(5), letters))
+        assert wg.length(ex5, g) == _dot_product_length(ex5, g)
+
+
+def test_element_asked_of_an_equal_scheme_is_looked_up_again(ex5):
+    t = dataclasses.replace(ex5)
+    assert t == ex5 and t.root_tables is not ex5.root_tables
+    for letters in ((), (1, 2, 1, 2), LONGEST_A.letters, (0, 2, 1, 0, 1)):
+        g = wg.element_of_word(ex5, Word(A, letters))
+        answers = (
+            wg.length(ex5, g),
+            [wg.is_descent(ex5, g, j) for j in range(3)],
+            wg.canonical_reduced_word(ex5, g),
+        )
+        assert vars(g)["_indices"][0] is ex5.root_tables
+        assert answers == (
+            wg.length(t, g),
+            [wg.is_descent(t, g, j) for j in range(3)],
+            wg.canonical_reduced_word(t, g),
+        )
+        assert vars(g)["_indices"][0] is t.root_tables
+    w0 = wg.longest_element(ex5, B)
+    assert wg.length(t, w0) == wg.length(ex5, w0) == 10
+
+
+def test_kept_indices_are_outside_the_fields(ex5):
+    g = wg.element_of_word(ex5, LONGEST_A)
+    assert wg.length(ex5, g) == 10  # fills the walk's memo too
+    bare = wg.GroupoidElement(g.source, g.target, g.matrix)
+    assert vars(g)["_indices"][2] is not None and "_indices" not in vars(bare)
+    assert g == bare and hash(g) == hash(bare) and repr(g) == repr(bare)
+    assert dataclasses.fields(g) == dataclasses.fields(bare)
+    replaced = dataclasses.replace(g)
+    assert replaced == g and "_indices" not in vars(replaced)
+    for copied in (copy.copy(g), copy.deepcopy(g), pickle.loads(pickle.dumps(g))):
+        assert copied == g and hash(copied) == hash(g) and repr(copied) == repr(g)
+        assert "_indices" not in vars(copied)
+        assert wg.canonical_reduced_word(ex5, copied) == wg.canonical_reduced_word(ex5, g)
+
+
+NOT_ROOTS = "matrix columns are not roots of its target; not a groupoid element"
+WALK_LEAVES = "not a groupoid element: the descent walk leaves the roots of its target"
+
+
+@pytest.mark.parametrize("call", [
+    wg.length, lambda s, g: wg.is_descent(s, g, 0),
+], ids=["length", "is_descent"])
+def test_queries_refuse_columns_that_are_not_roots(ex5, call):
+    # twice the first simple root is not a root of a; length used to be 0
+    g = wg.GroupoidElement(A, A, ((2, 0, 0), (0, 1, 0), (0, 0, 1)))
+    with pytest.raises(ValueError, match=f"^{re.escape(NOT_ROOTS)}$"):
+        call(ex5, g)
+
+
+def test_length_refuses_a_matrix_whose_walk_leaves_the_roots(ex5):
+    # the columns -alpha1, alpha2 and alpha3 are roots of a; length used to be 1
+    g = wg.GroupoidElement(A, A, ((-1, 0, 0), (0, 1, 0), (0, 0, 1)))
+    with pytest.raises(ValueError, match=f"^{re.escape(WALK_LEAVES)}$"):
+        wg.length(ex5, g)
+    # is_descent reads only the sign of column 0 and makes no walk
+    assert wg.is_descent(ex5, g, 0)
+    assert not wg.is_descent(ex5, g, 1)

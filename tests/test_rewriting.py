@@ -11,7 +11,7 @@ import weylgroupoid as wg
 from weylgroupoid import Word
 from weylgroupoid.groupoid import _alternating, generator_element
 from weylgroupoid.intmat import identity_matrix, mat_mul
-from weylgroupoid.rewriting import BraidMove
+from weylgroupoid.rewriting import BraidMove, _is_reduced, _moved_path, _segments, _swapped
 from weylgroupoid.scheme import reflection_matrix, word_path
 
 A, B, C, D, E = range(5)
@@ -382,6 +382,46 @@ def test_applicable_moves_on_truncated_data_match_word_keyed_scan(name, data):
     assert s.status == wg.TRUNCATED
     w = data.draw(_alternation_heavy_word(s))
     assert wg.applicable_moves(s, w) == _word_moves(s, w)
+
+
+@pytest.mark.parametrize("make", [
+    wg.rank3_example,
+    lambda: wg.generate_roots(wg.from_bicharacter(((3, 2, 0), (0, 3, 2), (0, 0, 3)), 12, 6), 30),
+    lambda: wg.generate_roots(wg.from_cartan(((2, -1, 0), (-1, 2, -1), (0, -2, 2))), 30),
+], ids=["EX", "BI3", "B3"])
+def test_is_reduced_agrees_with_length(make):
+    # the carried simple roots decide reducedness without a length
+    s = make()
+    rng = random.Random(89)
+    seen = set()
+    for _ in range(400):
+        w = Word(rng.randrange(s.n_objects), tuple(rng.randrange(s.rank) for _ in range(rng.randint(0, 12))))
+        reduced = wg.length(s, wg.element_of_word(s, w)) == len(w)
+        assert _is_reduced(s, w.letters, word_path(s, w.letters, w.base)) == reduced
+        seen.add(reduced)
+    assert seen == {True, False}
+
+
+def test_moved_path_is_the_path_of_the_new_word(ex5):
+    # a braid move changes only the objects inside its segment; any other
+    # change of the segment's letters makes the search recompute the prefix
+    rng = random.Random(83)
+    closed = 0
+    for _ in range(400):
+        n = rng.randint(2, 9)
+        letters = tuple(rng.randrange(3) for _ in range(n))
+        base, p = rng.randrange(5), rng.randrange(n - 1)
+        moves = _segments(ex5, letters, word_path(ex5, letters, base), [p])
+        if moves and rng.random() < 0.5:
+            m = moves[0][3]
+            new = _swapped(letters, moves[0])
+        else:
+            m = rng.randint(2, n - p)
+            new = letters[:p] + tuple(rng.randrange(3) for _ in range(m)) + letters[p + m :]
+        path = word_path(ex5, letters, base)
+        closed += word_path(ex5, new, base)[p] == path[p]
+        assert _moved_path(ex5, new, path, p, m) == word_path(ex5, new, base)
+    assert 0 < closed < 400
 
 
 # ---------------------------------------------------------------------------
