@@ -16,7 +16,8 @@ walk and enumeration work on their indices in the scheme's root tables
 longest_element return keep those indices; any other element has them
 looked up once, on its first query.  Length and the canonical reduced
 word are both read off one walk that strips right descents, made once
-per element and kept with its indices.
+per element and kept with its indices; the longest element keeps the
+letters of the walk that built it instead (longest_element).
 """
 
 from __future__ import annotations
@@ -103,14 +104,17 @@ def _element(tables: RootTables, source: int, target: int, cols) -> GroupoidElem
     return GroupoidElement(source, target, tuple(zip(*map(tables.roots[target].__getitem__, cols))))
 
 
-def _keep(g: GroupoidElement, tables: RootTables, cols: tuple[int, ...]) -> GroupoidElement:
+def _keep(
+    g: GroupoidElement, tables: RootTables, cols: tuple[int, ...], stripped=None
+) -> GroupoidElement:
     """g, holding cols, the root indices of its columns in tables.
 
     They live on the instance, outside the fields, so equality, hashing,
     repr and replace() ignore them; next to them sits the memo of the
-    descent walk (_stripped).
+    descent walk (_stripped), None until it is walked unless its letters
+    are given as stripped.
     """
-    vars(g)["_indices"] = [tables, cols, None]
+    vars(g)["_indices"] = [tables, cols, stripped]
     return g
 
 
@@ -344,15 +348,22 @@ def longest_element(s: RootGroupoidScheme, a: int) -> GroupoidElement:
     one, and so does its inverse, so its matrix is a negated permutation
     and the inverse, from a to b, is its transpose: the walk's columns
     are the rows of the result.  The result's length is the number of
-    positive roots.  It keeps its column indices (_keep), so the walk of
-    its length and canonical word is made once too.  Raises as
+    positive roots.
+
+    It keeps its column indices and its canonical word (_keep), read off
+    the same walk: w0 sends every positive root of a negative, so the
+    right descents of w0 after w are exactly the ascents of w, and
+    stripping the smallest descent from w0 appends, letter by letter, the
+    smallest ascent that the walk appended.  The stripped letters are the
+    walk's, and the canonical word is the walk reversed; length and
+    canonical_reduced_word make no walk of their own.  Raises as
     root_tables does.
     """
     check_object(s, a)
     tables = s.root_tables
     cache = vars(s).setdefault("_longest", {})
     if a not in cache:
-        _, b, cols, j = _greedy_walk(s, a, a, tables.simple[a], descents=False)
+        letters, b, cols, j = _greedy_walk(s, a, a, tables.simple[a], descents=False)
         # Unreachable once the tables exist (see _greedy_walk); kept as a guard.
         if j is not None:
             raise InconsistentSchemeError(
@@ -361,7 +372,8 @@ def longest_element(s: RootGroupoidScheme, a: int) -> GroupoidElement:
                 "scheme data is inconsistent"
             )
         w0 = GroupoidElement(a, b, tuple(map(tables.roots[a].__getitem__, cols)))
-        cache[a] = _keep(w0, tables, tuple(map(tables.index[b].__getitem__, zip(*w0.matrix))))
+        w0_cols = tuple(map(tables.index[b].__getitem__, zip(*w0.matrix)))
+        cache[a] = _keep(w0, tables, w0_cols, tuple(reversed(letters)))
     return cache[a]
 
 

@@ -54,11 +54,11 @@ def generate_roots(s: RootGroupoidScheme, cutoff: int) -> RootGroupoidScheme:
 
     Starting from the simple roots, reflects every vector found by every
     generator once, keeping each image of height at most ``cutoff``,
-    until no vector is left to reflect.  Each vector's height travels with
-    it in the worklist, and an image's height is tested before the image
-    is built.  The returned scheme stores the positive halves and is
-    marked "finite" if no image was dropped and every reflection joins
-    two sets of equal size, "truncated" otherwise.
+    until no vector is left to reflect (_sweep).  The returned scheme
+    stores the positive halves and is marked "finite" if no image was
+    dropped and every reflection joins two sets of equal size,
+    "truncated" otherwise.  A cutoff that is no int (a bool is none) or
+    is below 1 raises ValueError before anything is swept.
 
     When every action row is a permutation, the sweep runs over
     nonnegative vectors only and skips the image -alpha_i of alpha_i.
@@ -77,18 +77,15 @@ def generate_roots(s: RootGroupoidScheme, cutoff: int) -> RootGroupoidScheme:
     """
     if s.mode != GENERATED:
         raise ValueError("root generation applies to generated-mode schemes")
+    if type(cutoff) is not int:
+        raise ValueError(f"cutoff must be an integer, got {cutoff!r}")
     if cutoff < 1:
         raise ValueError("cutoff must be at least 1")
 
-    # per object, (i, i |> a, row i of the reflection matrix) for each generator
-    steps = [
-        [(i, s.action[i][a], s.coefficients[i][a]) for i in range(s.rank)]
-        for a in range(s.n_objects)
-    ]
     permutes = all(len(set(row)) == s.n_objects for row in s.action)
-    swept = _sweep(steps, s.rank, cutoff, signed=False) if permutes else None
+    swept = _sweep(s, cutoff, signed=False) if permutes else None
     signed = swept is None
-    found, dropped = swept or _sweep(steps, s.rank, cutoff, signed=True)
+    found, dropped = swept or _sweep(s, cutoff, signed=True)
     if signed:
         positive = tuple(tuple(sorted(v for v in vs if is_nonneg(v))) for vs in found)
     else:
@@ -111,17 +108,45 @@ def generate_roots(s: RootGroupoidScheme, cutoff: int) -> RootGroupoidScheme:
     return replace(s, positive_roots=positive, status=status, cutoff=cutoff)
 
 
-def _sweep(steps, rank: int, cutoff: int, signed: bool) -> tuple[list[set[Vector]], bool] | None:
+def _sweep(
+    s: RootGroupoidScheme, cutoff: int, signed: bool
+) -> tuple[list[set[Vector]], bool] | None:
     """generate_roots' worklist: the sets found and whether an image was
     dropped by the cutoff.  Unless signed, it keeps nonnegative vectors
     only: it skips alpha_i -> -alpha_i and returns None at the first other
-    image that leaves the positive cone."""
+    image that leaves the positive cone.
+
+    Each vector travels with its height, and an image's height is tested
+    before the image is built.  It travels with the generator that made
+    it too, when that step can be undone: the generator i made v at
+    b = i |> a from a vector u at a, and if i at b leads back to a with
+    the same coefficients, reflecting v by i gives u back (coordinate i
+    of the image is u's, since entry i of the row is -1).  u is found
+    already, within the cutoff and, unsigned, nonnegative, so that step
+    would change neither the sets, nor the dropped flag, nor the early
+    None, and it is skipped.  Whether a step can be undone is decided at
+    the object it starts from, a; decided at b it would be wrong once a
+    generator's action is not a permutation, since then i at b may lead
+    back to an object other than a.
+    """
+    rank, action, coefficients = s.rank, s.action, s.coefficients
+    # per object a, (i, i |> a, row i of the reflection matrix, the letter
+    # to skip from the image: i if the step can be undone, else -1)
+    steps = []
+    for a in range(s.n_objects):
+        per_a = []
+        for i in range(rank):
+            b, row = action[i][a], coefficients[i][a]
+            per_a.append((i, b, row, i if action[i][b] == a and coefficients[i][b] == row else -1))
+        steps.append(per_a)
     found = [{basis_vector(rank, j) for j in range(rank)} for _ in steps]
-    pending = [(a, r, 1) for a, vs in enumerate(found) for r in vs]
+    pending = [(a, r, 1, -1) for a, vs in enumerate(found) for r in vs]
     dropped = False
     while pending:
-        a, r, h = pending.pop()
-        for i, target, row in steps[a]:
+        a, r, h, last = pending.pop()
+        for i, target, row, undo in steps[a]:
+            if i == last:
+                continue
             # the reflection changes coordinate i only, to x
             x = sum(map(mul, row, r))
             hx = h - abs(r[i]) + abs(x)
@@ -135,7 +160,7 @@ def _sweep(steps, rank: int, cutoff: int, signed: bool) -> tuple[list[set[Vector
             v = r[:i] + (x,) + r[i + 1 :]
             if v not in found[target]:
                 found[target].add(v)
-                pending.append((target, v, hx))
+                pending.append((target, v, hx, undo))
     return found, dropped
 
 

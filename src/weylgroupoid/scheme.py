@@ -502,18 +502,47 @@ def save_scheme(s: RootGroupoidScheme) -> str:
     Refuses, by _check_values' SchemeFormatError, a scheme that
     load_scheme would refuse to read back; positions in its message are
     those in the scheme's tables, before the root sets are sorted.
+
+    The text equals, byte for byte, json.dumps(doc, indent=2) plus a
+    newline, where doc holds the fields as a dict of lists.  It is joined
+    here from the tables instead, since with an indent json.dumps runs
+    its pure-Python encoder.  Only the strings (the object names and the
+    mode) go through json.dumps, so their escaping is json's own.
     """
     _check_values(s)
-    doc: dict = {
-        "rank": s.rank,
-        "objects": list(s.objects),
-        "action": [list(row) for row in s.action],
-        "coefficients": [[list(vec) for vec in per_obj] for per_obj in s.coefficients],
-        "mode": s.mode,
-    }
+    fields = [
+        ("rank", str(s.rank)),
+        ("objects", _json_array(list(map(json.dumps, s.objects)), 1)),
+        ("action", _json_array([_json_ints(row, 2) for row in s.action], 1)),
+        ("coefficients", _json_array(
+            [_json_array([_json_ints(vec, 3) for vec in per_obj], 2)
+             for per_obj in s.coefficients], 1)),
+        ("mode", json.dumps(s.mode)),
+    ]
     if s.mode == PRESCRIBED:
-        doc["roots"] = [[list(r) for r in sorted(pos)] for pos in s.positive_roots]
-    return json.dumps(doc, indent=2) + "\n"
+        fields.append(("roots", _json_array(
+            [_json_array([_json_ints(r, 3) for r in sorted(pos)], 2)
+             for pos in s.positive_roots], 1)))
+    return "{\n" + ",\n".join(f'  "{key}": {value}' for key, value in fields) + "\n}\n"
+
+
+# How json.dumps(indent=2) lays out an array nested d levels deep, for the
+# depths of a scheme file: it opens with _OPEN[d], puts _SEP[d] between
+# the items, one a line, and closes with _CLOSE[d].
+_OPEN = tuple("[\n" + "  " * (d + 1) for d in range(4))
+_SEP = tuple(",\n" + "  " * (d + 1) for d in range(4))
+_CLOSE = tuple("\n" + "  " * d + "]" for d in range(4))
+
+
+def _json_array(items: list[str], depth: int) -> str:
+    """The encoded items as json.dumps(indent=2) lays out an array nested
+    depth levels deep."""
+    return _OPEN[depth] + _SEP[depth].join(items) + _CLOSE[depth] if items else "[]"
+
+
+def _json_ints(vec: Sequence[int], depth: int) -> str:
+    """_json_array of a vector of ints, whose JSON text is their str."""
+    return _json_array(list(map(str, vec)), depth)
 
 
 def strip_roots(s: RootGroupoidScheme) -> RootGroupoidScheme:

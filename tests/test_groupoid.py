@@ -10,6 +10,7 @@ import pytest
 
 import weylgroupoid as wg
 from weylgroupoid import MINUS_INFINITY, ZERO, Word
+from weylgroupoid import groupoid as groupoid_module
 from weylgroupoid.groupoid import _greedy_walk, generator_element, identity_element
 from weylgroupoid.intmat import identity_matrix
 from weylgroupoid.scheme import _checked
@@ -380,6 +381,41 @@ def test_longest_element_is_kept_per_object(make):
         wg.longest_element(s, a) for a in range(s.n_objects)
     ]
     assert vars(t)["_longest"] is not vars(s)["_longest"]
+
+
+W0_SCHEMES = {
+    **LONGEST_SCHEMES,
+    "E8": lambda: wg.generate_roots(wg.from_cartan(_chain(8, {(6, 7): (0, 0), (4, 7): (-1, -1)})), 30),
+}
+
+
+@pytest.mark.parametrize("make", W0_SCHEMES.values(), ids=W0_SCHEMES)
+def test_longest_element_word_is_its_stripping_walk(make, monkeypatch):
+    # w0 keeps its canonical word from the walk that built it; it is the
+    # word that stripping descents from w0 finds
+    s = make()
+    tables = s.root_tables
+    for a in range(s.n_objects):
+        w0 = wg.longest_element(s, a)
+        cols = tuple(map(tables.index[w0.target].__getitem__, zip(*w0.matrix)))
+        walked = groupoid_module._stripped_letters(s, a, w0.target, cols)
+        assert wg.canonical_reduced_word(s, w0) == Word(a, walked)
+        assert wg.length(s, w0) == len(walked) == len(s.positive_roots[a])
+    # and no query of a fresh w0 strips it again
+    walks = []
+    stripped_letters = groupoid_module._stripped_letters
+    monkeypatch.setattr(
+        groupoid_module, "_stripped_letters", lambda *args: walks.append(args) or stripped_letters(*args)
+    )
+    t = make()
+    for a in range(t.n_objects):
+        w0 = wg.longest_element(t, a)
+        assert wg.length(t, w0) == len(t.positive_roots[a])
+        assert len(wg.canonical_reduced_word(t, w0)) == len(t.positive_roots[a])
+    assert walks == []
+    # the counter counts: an evaluated word of w0 is walked once
+    g = wg.element_of_word(t, wg.canonical_reduced_word(t, wg.longest_element(t, 0)))
+    assert wg.length(t, g) == len(t.positive_roots[0]) and len(walks) == 1
 
 
 def test_enumerate_is_bounded_on_inconsistent_roots(affine_file):

@@ -2,6 +2,7 @@ import dataclasses
 import itertools
 import math
 import random
+import re
 
 import pytest
 from hypothesis import example, given, settings
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 import weylgroupoid as wg
 from weylgroupoid import Word
+from weylgroupoid import roots as roots_module
 from weylgroupoid.intmat import (
     basis_vector,
     height,
@@ -211,6 +213,102 @@ def test_worklist_certificate_matches_re_reflection(case):
     s, cutoff = case
     out = wg.generate_roots(s, cutoff)
     assert (out.positive_roots, out.status) == _re_reflection_certificate(s, cutoff)
+
+
+@pytest.mark.parametrize("cutoff", ["3", True, 2.5, None])
+def test_generate_refuses_a_cutoff_that_is_no_int_before_it_sweeps(cutoff, monkeypatch):
+    def no_sweep(*args):
+        raise AssertionError("swept")
+
+    monkeypatch.setattr(roots_module, "_sweep", no_sweep)
+    with pytest.raises(ValueError, match=f"^cutoff must be an integer, got {re.escape(repr(cutoff))}$"):
+        wg.generate_roots(wg.from_cartan(E8), cutoff)
+
+
+@pytest.mark.parametrize("cutoff", [0, -3])
+def test_generate_refuses_a_cutoff_below_one(cutoff):
+    with pytest.raises(ValueError, match="^cutoff must be at least 1$"):
+        wg.generate_roots(wg.from_cartan(((2,),)), cutoff)
+
+
+def _sweep_without_skip(s, cutoff, signed):
+    """roots._sweep as it was before it skipped steps that undo the step
+    that made a vector, kept as the oracle: every vector is reflected by
+    every generator."""
+    steps = [
+        [(i, s.action[i][a], s.coefficients[i][a]) for i in range(s.rank)]
+        for a in range(s.n_objects)
+    ]
+    found = [{basis_vector(s.rank, j) for j in range(s.rank)} for _ in steps]
+    pending = [(a, r, 1) for a, vs in enumerate(found) for r in vs]
+    dropped = False
+    while pending:
+        a, r, h = pending.pop()
+        for i, target, row in steps[a]:
+            x = sum(c * u for c, u in zip(row, r))
+            hx = h - abs(r[i]) + abs(x)
+            if hx > cutoff:
+                dropped = True
+                continue
+            if x < 0 and not signed:
+                if h == r[i] == 1:
+                    continue
+                return None
+            v = r[:i] + (x,) + r[i + 1 :]
+            if v not in found[target]:
+                found[target].add(v)
+                pending.append((target, v, hx))
+    return found, dropped
+
+
+@st.composite
+def _sweep_schemes(draw):
+    """Generated-mode schemes whose generator actions are involutions,
+    other permutations or maps that are no permutation, and whose
+    coefficient rows at a and i |> a are often, not always, equal."""
+    rank = draw(st.integers(1, 4))
+    n = draw(st.integers(1, 4))
+    action = []
+    for _ in range(rank):
+        kind = draw(st.sampled_from(("involution", "permutation", "map")))
+        if kind == "involution":
+            perm = draw(st.permutations(range(n)))
+            row = list(range(n))
+            for k in range(0, 2 * draw(st.integers(0, n // 2)), 2):
+                row[perm[k]], row[perm[k + 1]] = perm[k + 1], perm[k]
+        elif kind == "permutation":
+            row = draw(st.permutations(range(n)))
+        else:
+            row = [draw(st.integers(0, n - 1)) for _ in range(n)]
+        action.append(tuple(row))
+    coefficients = []
+    for i in range(rank):
+        rows = {}
+        for a in range(n):
+            b = action[i][a]
+            if b in rows and draw(st.booleans()):
+                rows[a] = rows[b]
+            else:
+                rows[a] = tuple(-1 if j == i else draw(st.integers(0, 3)) for j in range(rank))
+        coefficients.append(tuple(rows[a] for a in range(n)))
+    return _hand_built(tuple(action), tuple(coefficients), draw(st.integers(1, 12)))
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(_sweep_schemes())
+# generator 2 sends both objects to b, and generator 1 swaps a and b with
+# equal rows at neither: skipping generator 2 from a vector that it made
+# at b is right when it came from b, wrong when it came from a, so the
+# step must be judged at the object it started from
+@example(_hand_built(((1, 0), (1, 1)), (((-1, 1), (-1, 2)), ((1, -1), (0, -1))), 2))
+# affine A3, BI3 and E8 at the cutoff below its highest root
+@example((wg.from_cartan(((2, -1, 0, -1), (-1, 2, -1, 0), (0, -1, 2, -1), (-1, 0, -1, 2))), 20))
+@example((wg.from_bicharacter(((3, 2, 0), (0, 3, 2), (0, 0, 3)), 12, 6), 12))
+@example((wg.from_cartan(E8), 28))
+def test_sweep_finds_what_the_sweep_without_skips_finds(case):
+    s, cutoff = case
+    for signed in (False, True):
+        assert roots_module._sweep(s, cutoff, signed) == _sweep_without_skip(s, cutoff, signed)
 
 
 # ---------------------------------------------------------------------------

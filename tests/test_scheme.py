@@ -899,6 +899,102 @@ def test_save_refuses_what_load_refuses(change, message):
         wg.load_scheme(text)
 
 
+def _dumped(s):
+    """save_scheme as it was written before, kept as the oracle: the fields
+    as a dict of lists, through json.dumps(indent=2)."""
+    doc = {
+        "rank": s.rank,
+        "objects": list(s.objects),
+        "action": [list(row) for row in s.action],
+        "coefficients": [[list(vec) for vec in per_obj] for per_obj in s.coefficients],
+        "mode": s.mode,
+    }
+    if s.mode == wg.PRESCRIBED:
+        doc["roots"] = [[list(r) for r in sorted(pos)] for pos in s.positive_roots]
+    return json.dumps(doc, indent=2) + "\n"
+
+
+def _assert_saved_as_json_lays_it_out(s):
+    out = wg.save_scheme(s)
+    assert out == json.dumps(json.loads(out), indent=2) + "\n"
+    assert out == _dumped(s)
+
+
+# characters that json escapes, or leaves as they are, in object names
+NAME_CHARACTERS = ('"', "\\", "\u00e9", "\n", "\x01", "\u2028", "\U0001f600", "a", "1")
+
+
+@st.composite
+def _saveable_schemes(draw):
+    """Schemes that save_scheme accepts, in both modes, of rank 1 to 5, with
+    object names made of NAME_CHARACTERS and large coefficients among them."""
+    rank = draw(st.integers(1, 5))
+    n = draw(st.integers(1, 4))
+    names = draw(st.lists(
+        st.text(st.sampled_from(NAME_CHARACTERS), max_size=4), min_size=n, max_size=n, unique=True,
+    ))
+    action = []
+    for _ in range(rank):
+        perm = draw(st.permutations(range(n)))
+        row = list(range(n))
+        for k in range(0, 2 * draw(st.integers(0, n // 2)), 2):
+            row[perm[k]], row[perm[k + 1]] = perm[k + 1], perm[k]
+        action.append(tuple(row))
+    entries = st.integers(0, 3) | st.integers(0, 10**30)
+    coefficients = tuple(
+        tuple(tuple(-1 if j == i else draw(entries) for j in range(rank)) for _ in range(n))
+        for i in range(rank)
+    )
+    fields = dict(rank=rank, objects=tuple(names), action=tuple(action), coefficients=coefficients)
+    if draw(st.booleans()):
+        return wg.RootGroupoidScheme(**fields, mode=wg.GENERATED)
+    simple = [basis_vector(rank, j) for j in range(rank)]
+    vectors = st.tuples(*[st.integers(-3, 3)] * rank).filter(any)
+    roots = tuple(
+        tuple(draw(st.permutations(simple + draw(st.lists(
+            vectors.filter(lambda v: v not in simple), max_size=6, unique=True,
+        )))))
+        for _ in range(n)
+    )
+    status = draw(st.sampled_from((wg.FINITE, wg.TRUNCATED)))
+    return wg.RootGroupoidScheme(**fields, mode=wg.PRESCRIBED, positive_roots=roots, status=status)
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(_saveable_schemes())
+def test_save_writes_what_json_writes(s):
+    _assert_saved_as_json_lays_it_out(s)
+
+
+# the Cartan types, bicharacters and example that the benchmark saves
+SAVED_CARTAN = {
+    **{name: c for name, (c, _) in CARTAN_TYPES.items() if name != "G2"},
+    "A3": _cartan(3, _chain(3)),
+    "A5": _cartan(5, _chain(5)),
+    "B3": _cartan(3, {**_chain(3), (1, 2): (-1, -2)}),
+    "D4": _cartan(4, {**_chain(3), (1, 3): (-1, -1)}),
+    "E7": _cartan(7, {**_chain(6), (3, 6): (-1, -1)}),
+    "E8": _cartan(8, {**_chain(7), (4, 7): (-1, -1)}),
+}
+SAVED_BICHARACTERS = {
+    "BI3": (((3, 2, 0), (0, 3, 2), (0, 0, 3)), 6),
+    "BI4": (((2, 2, 0, 0), (0, 2, 1, 0), (0, 0, 3, 1), (0, 0, 0, 3)), 4),
+}
+
+
+@pytest.mark.parametrize("name", [*SAVED_CARTAN, *SAVED_BICHARACTERS, "EX"])
+def test_save_writes_what_json_writes_on_saved_schemes(name):
+    if name in SAVED_CARTAN:
+        s = wg.generate_roots(wg.from_cartan(SAVED_CARTAN[name]), 30)
+    elif name in SAVED_BICHARACTERS:
+        exponents, order = SAVED_BICHARACTERS[name]
+        s = wg.generate_roots(wg.from_bicharacter(exponents, 12, order), 30)
+    else:
+        s = wg.rank3_example()
+    for mode in (wg.GENERATED, wg.PRESCRIBED):
+        _assert_saved_as_json_lays_it_out(dataclasses.replace(s, mode=mode))
+
+
 # ---------------------------------------------------------------------------
 # the root tables as the one gate
 
