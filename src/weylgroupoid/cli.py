@@ -19,8 +19,6 @@ equal, non-arithmetic input), 2 usage or input-format error.
 from __future__ import annotations
 
 import argparse
-import bisect
-import functools
 import os
 import sys
 
@@ -191,18 +189,12 @@ def cmd_longest(s, args) -> int:
 
 
 def cmd_enumerate(s, args) -> int:
-    elements = groupoid.enumerate_elements(s, args.base)
-    print(f"count {len(elements)}")
-    # the elements come sorted by length, so each length is walked for a
-    # few elements that bisection picks, not for every element
-    start = 0
-    while start < len(elements):
-        n = groupoid.length(s, elements[start])
-        end = bisect.bisect_right(elements, n, start, key=functools.partial(groupoid.length, s))
-        for g in elements[start:end]:
-            flat = " ".join(str(x) for row in g.matrix for x in row)
-            print(f"element {s.objects[g.source]} {s.objects[g.target]} {n} {flat}")
-        start = end
+    # count first, then print each level as it comes: level n has length n
+    print(f"count {sum(map(len, groupoid._levels(s, args.base)))}")
+    for n, level in enumerate(groupoid._levels(s, args.base)):
+        for a, b, matrix in groupoid._sorted_level(s, level):
+            flat = " ".join(str(x) for row in matrix for x in row)
+            print(f"element {s.objects[a]} {s.objects[b]} {n} {flat}")
     return 0
 
 
@@ -339,8 +331,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {e}", file=sys.stderr)
         return 1
     except MemoryError:
-        # a legal input can still be too large: enumerate on E7 lists
-        # 2,903,040 elements
+        # a legal input can still be too large
         print(f"error: {args.command} ran out of memory", file=sys.stderr)
         return 1
 

@@ -118,11 +118,18 @@ def from_bicharacter(
     Discovery is breadth-first, numbering objects by first appearance.
     Raises NotArithmeticError when some reflection coefficient has no
     finite value or some diagonal exponent degenerates to zero, and
-    ValueError when the object cutoff is exceeded.
+    ValueError when the object cutoff is exceeded.  A cutoff that is no
+    int (a bool is none) or is below 1, and an order that is neither None
+    nor such an int of at least 1, raise ValueError before any object is
+    discovered.
     """
     n = len(exponents)
     if n == 0 or any(len(row) != n for row in exponents):
         raise ValueError("exponent matrix must be square and nonempty")
+    if order is not None and type(order) is not int:
+        raise ValueError(f"order must be None or an integer, got {order!r}")
+    if type(cutoff) is not int:
+        raise ValueError(f"object cutoff must be an integer, got {cutoff!r}")
     if order is not None and order < 1:
         raise ValueError("order must be a positive integer")
     if cutoff < 1:

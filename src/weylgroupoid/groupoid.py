@@ -17,7 +17,9 @@ longest_element return keep those indices; any other element has them
 looked up once, on its first query.  Length and the canonical reduced
 word are both read off one walk that strips right descents, made once
 per element and kept with its indices; the longest element keeps the
-letters of the walk that built it instead (longest_element).
+letters of the walk that built it instead (longest_element).  As one
+generator changes the length by exactly one, enumeration goes level by
+level, an element's level being its length, and holds at most two.
 """
 
 from __future__ import annotations
@@ -377,52 +379,57 @@ def longest_element(s: RootGroupoidScheme, a: int) -> GroupoidElement:
     return cache[a]
 
 
-def enumerate_elements(
-    s: RootGroupoidScheme, source: int | None = None
-) -> list[GroupoidElement]:
-    """All elements of the groupoid, by breadth-first closure.
-
-    Starts from the identities (only the one at source, if given) and
-    composes generators on the left, by index lookups on the columns;
-    level k of the search holds the elements of length k, so it ends by
-    the level after the largest number of positive roots of any object.
-    Raises as root_tables does.  Sorted by (length, source, target,
-    matrix); optionally filtered by source object.
+def _levels(s: RootGroupoidScheme, source: int | None):
+    """The elements of each length in turn, as dicts keyed by (source,
+    target, column indices), each grown on the left of the one before.
+    An element's value has bit i set when generator i found it from the
+    level below, so the set bits are its left descents.  Under the axioms
+    that the tables check one generator changes the length by exactly
+    one, so every other generator leads one level up, and only the level
+    being grown and the next are held.  Raises as root_tables does.
     """
     tables = s.root_tables
     if source is not None:
         check_object(s, source)
     bound = max(len(pos) for pos in s.positive_roots)
     sources = range(s.n_objects) if source is None else (source,)
-    generators = list(enumerate(zip(s.action, tables.sigma)))
-    # (source, target, column indices) per element, with the frontier's
-    # elements paired with the generator that produced them, which leads
-    # back to the element they came from (-1 for the identities)
-    frontier = [((a, a, tables.simple[a]), -1) for a in sources]
-    depth = {key: 0 for key, _ in frontier}
-    for level in range(1, bound + 2):
-        nxt = []
-        for (a, b, cols), last in frontier:
-            for i, (action, sigma) in generators:
-                if i != last:
+    generators = [(1 << i, s.action[i], tables.sigma[i]) for i in range(s.rank)]
+    level = {(a, a, tables.simple[a]): 0 for a in sources}
+    for _ in range(bound + 1):
+        yield level
+        nxt = {}
+        for (a, b, cols), descents in level.items():
+            for bit, action, sigma in generators:
+                if not descents & bit:
                     key = (a, action[b], tuple(map(sigma[b].__getitem__, cols)))
-                    if key not in depth:
-                        depth[key] = level
-                        nxt.append((key, i))
-        frontier = nxt
+                    nxt[key] = nxt.get(key, 0) | bit
+        level = nxt
     # Unreachable once the tables exist: under the seven axioms they check
     # no element is longer than its source's positive roots.  Kept as a guard.
-    if frontier:
+    if level:
         raise InconsistentSchemeError(
             f"elements of length {bound + 1} found, more than the {bound} positive roots "
             "of any object; scheme data is inconsistent"
         )
-    # (length, source, target, matrix) tuples are distinct, so they sort alone
-    items = sorted(
-        (n, a, b, tuple(zip(*map(tables.roots[b].__getitem__, cols))))
-        for (a, b, cols), n in depth.items()
-    )
-    return [GroupoidElement(a, b, matrix) for _, a, b, matrix in items]
+
+
+def _sorted_level(s: RootGroupoidScheme, level) -> list:
+    """The (source, target, matrix) of a level's elements, sorted."""
+    roots = s.root_tables.roots
+    return sorted((a, b, tuple(zip(*map(roots[b].__getitem__, cols)))) for a, b, cols in level)
+
+
+def enumerate_elements(
+    s: RootGroupoidScheme, source: int | None = None
+) -> list[GroupoidElement]:
+    """All elements of the groupoid, level by level (_levels).
+
+    Starts from the identities (only the one at source, if given) and
+    holds at most two levels besides the result.  Raises as root_tables
+    does.  Sorted by (length, source, target, matrix).
+    """
+    return [GroupoidElement(a, b, matrix) for level in _levels(s, source)
+            for a, b, matrix in _sorted_level(s, level)]
 
 
 def c_element(s: RootGroupoidScheme, i: int, j: int, a: int) -> Word:

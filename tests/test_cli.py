@@ -386,23 +386,29 @@ def test_out_of_memory_is_reported_in_one_line(scheme_file, capsys, monkeypatch)
     def exhausted(s, source=None):
         raise MemoryError
 
-    monkeypatch.setattr(wg.groupoid, "enumerate_elements", exhausted)
+    monkeypatch.setattr(wg.groupoid, "_levels", exhausted)
     assert main(["enumerate", "--scheme", scheme_file, "--machine"]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: enumerate ran out of memory\n"
 
 
-def test_enumerate_prints_each_element_with_its_length(scheme_file, capsys):
-    # the length column is walked only at the elements that bisection picks
+@pytest.mark.parametrize("base, count", [(None, 300), ("a", 60)], ids=["all", "base-a"])
+def test_enumerate_prints_each_element_with_its_length(scheme_file, capsys, base, count):
+    # the length column is the level number of the enumeration; the
+    # oracle walks the length of every element
     s = wg.rank3_example()
-    code, out = run(capsys, "enumerate", "--scheme", scheme_file, "--machine")
+    argv = ["enumerate", "--scheme", scheme_file, "--machine"]
+    if base is not None:
+        argv += ["--base", base]
+    code, out = run(capsys, *argv)
     assert code == 0
     lines = out.splitlines()
-    assert lines[0] == "count 300"
+    assert lines[0] == f"count {count}"
+    source = None if base is None else s.object_index(base)
     want = [
         f"element {s.objects[g.source]} {s.objects[g.target]} {wg.length(s, g)} "
         + " ".join(str(x) for row in g.matrix for x in row)
-        for g in wg.enumerate_elements(s)
+        for g in wg.enumerate_elements(s, source)
     ]
     assert lines[1:] == want

@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import random
+import re
 import time
 
 import pytest
@@ -90,6 +91,27 @@ def test_generic_not_arithmetic():
 def test_object_cutoff_enforced():
     with pytest.raises(ValueError, match="cutoff"):
         from_bicharacter(((2, 1), (0, 2)), 2, 4)
+
+
+@pytest.mark.parametrize(
+    "cutoff, order, message",
+    [
+        ("3", 4, "object cutoff must be an integer, got '3'"),
+        (True, 4, "object cutoff must be an integer, got True"),
+        (2.5, None, "object cutoff must be an integer, got 2.5"),
+        (8, 2.5, "order must be None or an integer, got 2.5"),
+        (8, True, "order must be None or an integer, got True"),
+        (8, "4", "order must be None or an integer, got '4'"),
+    ],
+    ids=["cutoff-str", "cutoff-bool", "cutoff-float", "order-float", "order-bool", "order-str"],
+)
+def test_from_bicharacter_refuses_a_cutoff_or_order_that_is_no_int(cutoff, order, message, monkeypatch):
+    def no_discovery(*args):
+        raise AssertionError("discovered an object")
+
+    monkeypatch.setattr(wg.constructors, "basis_fingerprint", no_discovery)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        from_bicharacter(((2, 1), (0, 2)), cutoff, order)
 
 
 def test_order_four_multi_object_regression():
