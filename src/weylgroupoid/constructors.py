@@ -120,12 +120,16 @@ def from_bicharacter(
     finite value or some diagonal exponent degenerates to zero, and
     ValueError when the object cutoff is exceeded.  A cutoff that is no
     int (a bool is none) or is below 1, and an order that is neither None
-    nor such an int of at least 1, raise ValueError before any object is
-    discovered.
+    nor such an int of at least 1, and an exponent entry that is no int,
+    raise ValueError before any object is discovered.
     """
     n = len(exponents)
     if n == 0 or any(len(row) != n for row in exponents):
         raise ValueError("exponent matrix must be square and nonempty")
+    for j, row in enumerate(exponents):
+        for k, e in enumerate(row):
+            if type(e) is not int:
+                raise ValueError(f"exponent entry [{j}][{k}] must be an integer, got {e!r}")
     if order is not None and type(order) is not int:
         raise ValueError(f"order must be None or an integer, got {order!r}")
     if type(cutoff) is not int:

@@ -7,11 +7,12 @@ base, length, and evaluation.  Any two reduced words of the same element
 are connected by such moves, so braid search decides the word problem for
 reduced words; the search enforces this as a runtime assertion and fails
 hard if it would have to leave the element's reduced-word set.  The search
-runs on letter tuples at a fixed base and reads m from the scheme's
-rank-two table; Word and BraidMove are built only for its results.  Each
-word it reaches carries its object path, derived from the path of the
-word it came from, since a move changes only the objects inside its
-segment.
+runs on letter tuples at a fixed base and reads m from the rank-two table
+of the finite root tables, which it requires; Word and BraidMove are built
+only for its results.  Each word it reaches carries its object path,
+derived from the path of the word it came from, since a move changes only
+the objects inside its segment.  Only applicable_moves and apply_move,
+which take single words, also run on truncated data, walking the chain.
 """
 
 from __future__ import annotations
@@ -162,24 +163,29 @@ def _next_level(s: RootGroupoidScheme, frontier: list, parents: dict) -> list:
     object path (word_path) and None, or a word with the path of the word
     it came from and the segment of the move that made it.  The move at
     that position leads back to a word already in parents, so it is not
-    tried.  Expands the frontier in letter order; records each new word
-    in parents as letters -> (previous letters, segment), and returns the
-    new entries.
+    tried.  Expands the frontier in letter order, finding segments as
+    _segments does on finite data; records each new word in parents as
+    letters -> (previous letters, segment), and returns the new entries.
     """
+    counts = s.root_tables.rank_two
     nxt = []
     for letters, path, made in sorted(frontier, key=operator.itemgetter(0)):
+        skip = None
+        if made is not None:
+            skip = made[0]
+            path = _moved_path(s, letters, path, skip, made[3])
         n = len(letters)
-        if made is None:
-            at = range(n - 1)
-        else:
-            p = made[0]
-            path = _moved_path(s, letters, path, p, made[3])
-            at = itertools.chain(range(p), range(p + 1, n - 1))
-        for seg in _segments(s, letters, path, at):
-            new = _swapped(letters, seg)
-            if new not in parents:
-                parents[new] = (letters, seg)
-                nxt.append((new, path, seg))
+        for p in range(n - 1):
+            x, y = letters[p], letters[p + 1]
+            if x == y or p == skip:
+                continue
+            m = counts[x][y][path[p + 1]]
+            if p + m <= n and (m < 3 or letters[p + 2 : p + m] == letters[p : p + m - 2]):
+                new = letters[:p] + ((y, x) * m)[:m] + letters[p + m :]
+                if new not in parents:
+                    seg = (p, x, y, m, path[p + m])
+                    parents[new] = (letters, seg)
+                    nxt.append((new, path, seg))
     return nxt
 
 
@@ -193,19 +199,24 @@ def braid_connect(s: RootGroupoidScheme, u: Word, v: Word) -> MoveChain:
     """
     if u.base != v.base:
         raise ValueError("words have different bases")
-    gu = element_of_word(s, u)
-    gv = element_of_word(s, v)
-    if gu != gv:
-        if gu.target != gv.target:
+    try:
+        (pu, cu), (pv, cv) = (_word_columns(s, w.letters, w.base) for w in (u, v))
+    except ValueError:  # a bad letter, or roots missing, truncated or inconsistent
+        gu, gv = element_of_word(s, u), element_of_word(s, v)  # raises naming a bad letter
+        tu, tv, same = gu.target, gv.target, gu == gv
+        pu, pv = (word_path(s, w.letters, w.base) for w in (u, v))
+    else:  # on the root tables, target and column indices determine the element
+        tu, tv, same = pu[0], pv[0], (pu[0], cu) == (pv[0], cv)
+    if not same:
+        if tu != tv:
             raise ValueError(
                 "words evaluate to different elements: target mismatch: "
-                f"{s.objects[gu.target]} != {s.objects[gv.target]}"
+                f"{s.objects[tu]} != {s.objects[tv]}"
             )
         raise ValueError("words evaluate to different elements")
-    paths = [word_path(s, w.letters, w.base) for w in (u, v)]
-    if not _is_reduced(s, u.letters, paths[0]):
+    if not _is_reduced(s, u.letters, pu):
         raise ValueError("first word is not reduced")
-    if not _is_reduced(s, v.letters, paths[1]):
+    if not _is_reduced(s, v.letters, pv):
         raise ValueError("second word is not reduced")
 
     if u == v:
@@ -215,7 +226,7 @@ def braid_connect(s: RootGroupoidScheme, u: Word, v: Word) -> MoveChain:
     # in _next_level), u side 0 and v side 1; every word of the search is
     # based at u.base
     parents: tuple[dict, dict] = ({u.letters: None}, {v.letters: None})
-    frontiers = [[(u.letters, paths[0], None)], [(v.letters, paths[1], None)]]
+    frontiers = [[(u.letters, pu, None)], [(v.letters, pv, None)]]
 
     meets: list[tuple[int, ...]] = []
     while not meets:
@@ -301,6 +312,12 @@ def _block_word(s: RootGroupoidScheme, js, ks, anchors):
     return letters, path, cols
 
 
+def _prefixed(s: RootGroupoidScheme, k: int, path: list, cols: tuple[int, ...]):
+    """The target and columns of a word with this path and these columns
+    (_word_columns) once letter k is put in front: one more step of its walk."""
+    return s.action[k][path[0]], tuple(map(s.root_tables.sigma[k][path[0]].__getitem__, cols))
+
+
 def weak_exchange_factor(
     s: RootGroupoidScheme, w: Word, j: int
 ) -> WeakExchangeFactorization:
@@ -375,18 +392,17 @@ def weak_exchange_factor(
     if (block_path[0], block_cols) != (target, cols):
         raise RuntimeError("block product does not reproduce the element")
     shifted = [s.action[ks[t + 1]][anchors[t]] for t in range(r)]
-    shifted_letters, shifted_path, _ = _block_word(s, js, ks, shifted)
+    shifted_letters, shifted_path, shifted_cols = _block_word(s, js, ks, shifted)
     b = s.action[j][a]
     # absorption: (blocks) s_{j, j|>a} = s_{k1} (shifted blocks); the left
     # side is zero unless j |> b is a, and it starts at b
     path1, cols1 = _word_columns(s, w.letters + (j,), b)
-    path2, cols2 = _word_columns(s, (simple_index,) + shifted_letters, shifted_path[-1])
-    if s.action[j][b] != a or shifted_path[-1] != b or (path1[0], cols1) != (path2[0], cols2):
+    right = _prefixed(s, simple_index, shifted_path, shifted_cols)
+    if s.action[j][b] != a or shifted_path[-1] != b or (path1[0], cols1) != right:
         raise RuntimeError("absorption identity fails on the shifted blocks")
     # and back: (shifted blocks) s_{j, a} = s_{k1} (blocks), both from a
     path1, cols1 = _word_columns(s, shifted_letters + (j,), a)
-    path2, cols2 = _word_columns(s, (simple_index,) + w.letters, a)
-    if (path1[0], cols1) != (path2[0], cols2):
+    if (path1[0], cols1) != _prefixed(s, simple_index, path, cols):
         raise RuntimeError("reverse absorption identity fails")
 
     return WeakExchangeFactorization(r, tuple(js), tuple(ks), tuple(anchors))

@@ -114,6 +114,25 @@ def test_from_bicharacter_refuses_a_cutoff_or_order_that_is_no_int(cutoff, order
         from_bicharacter(((2, 1), (0, 2)), cutoff, order)
 
 
+@pytest.mark.parametrize(
+    "exponents, message",
+    [
+        (((2.5, 1), (0, 2)), "exponent entry [0][0] must be an integer, got 2.5"),
+        ((("2", 1), (0, 2)), "exponent entry [0][0] must be an integer, got '2'"),
+        (((True, 1), (0, 2)), "exponent entry [0][0] must be an integer, got True"),
+        (((2, 1), (0.0, 2)), "exponent entry [1][0] must be an integer, got 0.0"),
+    ],
+    ids=["float", "str", "bool", "off-diagonal-float"],
+)
+def test_from_bicharacter_refuses_an_exponent_that_is_no_int(exponents, message, monkeypatch):
+    def no_discovery(*args):
+        raise AssertionError("discovered an object")
+
+    monkeypatch.setattr(wg.constructors, "basis_fingerprint", no_discovery)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        from_bicharacter(exponents, 8, 4)
+
+
 def test_order_four_multi_object_regression():
     # frozen breadth-first closure: three inequivalent objects
     s = from_bicharacter(((2, 1), (0, 2)), 10, 4)

@@ -262,6 +262,64 @@ def test_connect_rejects_different_bases(ex5):
         wg.braid_connect(ex5, Word(A, (0,)), Word(B, (0,)))
 
 
+def _a2_swapped():
+    """A2 at two objects that generator 2 swaps; only axiom 7 fails."""
+    s = wg.RootGroupoidScheme(
+        rank=2, objects=("a", "b"), action=((0, 1), (1, 0)),
+        coefficients=(((-1, 1),) * 2, ((1, -1),) * 2), mode=wg.GENERATED,
+    )
+    return wg.generate_roots(s, 10)
+
+
+BRAID_ERROR_SCHEMES = {
+    "EX": EX5,
+    "EX stripped": wg.strip_roots(EX5),
+    "A4 at cutoff 1": wg.generate_roots(
+        wg.from_cartan(((2, -1, 0, 0), (-1, 2, -1, 0), (0, -1, 2, -1), (0, 0, -1, 2))), 1
+    ),
+    "A2 swapped": _a2_swapped(),
+}
+DIFFERENT = "words evaluate to different elements"
+
+
+@pytest.mark.parametrize("name, u, v, error, message", [
+    ("EX", Word(A, (0,)), Word(B, (0,)), ValueError, "words have different bases"),
+    ("EX", Word(A, (9,)), Word(B, (1, 1)), ValueError, "words have different bases"),
+    ("EX", DISPLAY[0], COUNTEREXAMPLE, ValueError, f"{DIFFERENT}: target mismatch: d != e"),
+    # generator 2 fixes object a, so both words end at a
+    ("EX", Word(A, ()), Word(A, (1,)), ValueError, DIFFERENT),
+    ("EX", Word(A, (1, 1, 0, 0)), Word(A, ()), ValueError, "first word is not reduced"),
+    ("EX", Word(A, ()), Word(A, (1, 1)), ValueError, "second word is not reduced"),
+    ("EX", Word(A, (1, 1)), Word(A, (2, 2)), ValueError, "first word is not reduced"),
+    ("EX", Word(A, (0, 9)), Word(A, (3,)), ValueError, "generator index 9 out of range 0..2"),
+    ("EX", Word(A, (1, 1)), Word(A, (0, 3)), ValueError, "generator index 3 out of range 0..2"),
+    ("EX", Word(A, (0, 1)), Word(A, (0, 1, 3)), ValueError, "generator index 3 out of range 0..2"),
+    ("EX stripped", Word(A, ()), Word(A, (1,)), ValueError, DIFFERENT),
+    ("EX stripped", Word(A, (0, 1, 0)), Word(A, (1, 0, 1)), ValueError, "root sets are not materialized"),
+    ("A4 at cutoff 1", Word(A, (0,)), Word(A, (1,)), ValueError, DIFFERENT),
+    ("A4 at cutoff 1", Word(A, (0, 5)), Word(A, (1,)), ValueError, "generator index 5 out of range 0..3"),
+    ("A4 at cutoff 1", Word(A, (0, 1, 0)), Word(A, (1, 0, 1)), ValueError,
+     "operation requires finite root data, scheme is truncated"),
+    ("A4 at cutoff 1", Word(A, (0, 0)), Word(A, ()), ValueError,
+     "operation requires finite root data, scheme is truncated"),
+    # (1 2)^3 is the identity matrix from a to b
+    ("A2 swapped", Word(A, (0, 1) * 3), Word(A, ()), ValueError, f"{DIFFERENT}: target mismatch: b != a"),
+    ("A2 swapped", Word(A, (0, 1)), Word(A, (0, 1)), wg.InconsistentSchemeError,
+     "axiom 7 FAIL (generators 1,2 at object a: theta 2 does not divide count 3)"),
+], ids=[
+    "bases", "bases-before-letters", "target", "matrix", "first-unreduced", "second-unreduced",
+    "both-unreduced", "bad-letters-in-both", "bad-letter-in-v", "bad-letter-in-v-only",
+    "stripped-matrix", "stripped-roots", "truncated-matrix", "truncated-bad-letter",
+    "truncated-roots", "truncated-unreduced", "axiom-7-target", "axiom-7-roots",
+])
+def test_connect_errors_and_their_order(name, u, v, error, message):
+    # each pair has one fault that the search names, or several, of which
+    # it names the first it checks: bases, then the letters of u and v,
+    # then evaluation, then root data, then reducedness of u and of v
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        wg.braid_connect(BRAID_ERROR_SCHEMES[name], u, v)
+
+
 # ---------------------------------------------------------------------------
 # the braid search against the Word-keyed search it replaced
 
@@ -364,6 +422,30 @@ def _reduced_word(draw, s, max_size):
 @given(data=st.data())
 def test_braid_search_matches_word_keyed_search(name, data):
     s = SEARCH_SCHEMES[name]
+    u = data.draw(_reduced_word(s, 8))
+    g = wg.element_of_word(s, u)
+    closure = _word_closure(s, g)
+    assert wg.all_reduced_words(s, g) == closure
+    v = data.draw(st.sampled_from(sorted(closure, key=_word_key)))
+    for a, b in ((u, v), (v, u)):
+        chain = wg.braid_connect(s, a, b)
+        assert (chain.start, chain.moves, chain.end) == (a, _word_connect(s, a, b), b)
+
+
+# the two schemes of the braid-rewriting benchmark that SEARCH_SCHEMES leaves out
+BENCH_SEARCH_SCHEMES = {
+    "A5": _cartan_scheme(
+        ((2, -1, 0, 0, 0), (-1, 2, -1, 0, 0), (0, -1, 2, -1, 0), (0, 0, -1, 2, -1), (0, 0, 0, -1, 2))
+    ),
+    "B4": _cartan_scheme(((2, -1, 0, 0), (-1, 2, -1, 0), (0, -1, 2, -1), (0, 0, -2, 2))),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BENCH_SEARCH_SCHEMES))
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(data=st.data())
+def test_braid_search_matches_word_keyed_search_on_a5_and_b4(name, data):
+    s = BENCH_SEARCH_SCHEMES[name]
     u = data.draw(_reduced_word(s, 8))
     g = wg.element_of_word(s, u)
     closure = _word_closure(s, g)
