@@ -12,9 +12,16 @@ can never be "mismatched" and its evaluation is never zero.
 On a finite scheme an element's matrix columns, the images of the simple
 roots, are roots of its target, so word evaluation, length, the weak-order
 walk and enumeration work on their indices in the scheme's root tables
-(RootGroupoidScheme.root_tables).  The elements that element_of_word and
-longest_element return keep those indices; any other element has them
-looked up once, on its first query.  Length and the canonical reduced
+(RootGroupoidScheme.root_tables).  A word is evaluated two letters per
+step: the tables' pair table (RootTables.pairs) holds, for every letter
+pair (i, j) and object a, the permutation of root indices that s_j at a
+followed by s_i makes, so one lookup per column carries two letters;
+an odd word's rightmost letter takes one reflection alone.  The pair
+table has rank^2 x objects maps of 2|Phi+(a)| entries (15,360 for E8)
+and is built on the first word of two or more letters, so a scheme that
+evaluates no word never builds it.  The elements that element_of_word
+and longest_element return keep those indices; any other element has
+them looked up once, on its first query.  Length and the canonical reduced
 word are both read off one walk that strips right descents, made once
 per element and kept with its indices; the longest element keeps the
 letters of the walk that built it instead (longest_element).  As one
@@ -124,10 +131,11 @@ def element_of_word(s: RootGroupoidScheme, w: Word) -> GroupoidElement:
     """Evaluate a word: the product of its reflection matrices.
 
     Letters act rightmost first.  With root tables the simple roots of the
-    base, the columns, are carried through by index lookups, and the
-    result keeps their indices (_keep); without them (roots missing or
-    truncated, or breaking one of the seven axioms) each reflection
-    replaces row i of the matrix M by c.M, c its coefficients.  Either
+    base, the columns, are carried through by index lookups, two letters
+    per lookup (_word_columns), and the result keeps their indices
+    (_keep); without them (roots missing or truncated, or breaking one of
+    the seven axioms) each reflection replaces row i of the matrix M by
+    c.M, c its coefficients.  Either
     way the result is never zero, and root data raises nothing.
     """
     try:
@@ -145,20 +153,30 @@ def element_of_word(s: RootGroupoidScheme, w: Word) -> GroupoidElement:
 def _word_columns(s: RootGroupoidScheme, letters, base: int):
     """The word's path (see word_path), then the root indices of its columns:
     the simple roots of the base carried through the letters, rightmost
-    first.  Checks the base and the letters, as word_path does, before it
-    reads the root tables."""
+    first, two letters per lookup in the pair table (RootTables.pairs).
+    Checks the base and the letters, as word_path does, before it reads
+    the root tables."""
     check_object(s, base)
     if letters and not (0 <= min(letters) and max(letters) < s.rank):
         word_path(s, letters, base)  # raises naming the bad letter
     tables = s.root_tables
-    action, sigma = s.action, tables.sigma
-    path = [base] * (len(letters) + 1)
+    action = s.action
+    k = len(letters)
+    path = [base] * (k + 1)
     cols = tables.simple[base]
-    for k in range(len(letters) - 1, -1, -1):
+    a = base
+    if k % 2:  # the rightmost letter of an odd word goes alone
+        k -= 1
         i = letters[k]
-        a = path[k + 1]
-        cols = tuple(map(sigma[i][a].__getitem__, cols))
-        path[k] = action[i][a]
+        cols = tuple(map(tables.sigma[i][a].__getitem__, cols))
+        path[k] = a = action[i][a]
+    if k:  # then two letters per step; the pair table is built on first use
+        pairs = tables.pairs
+        for k in range(k - 2, -1, -2):
+            i, j = letters[k], letters[k + 1]
+            cols = tuple(map(pairs[i][j][a].__getitem__, cols))
+            path[k + 1] = b = action[j][a]
+            path[k] = a = action[i][b]
     return path, cols
 
 

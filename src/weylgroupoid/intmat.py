@@ -37,7 +37,7 @@ def mat_vec(m: Matrix, v: Vector) -> Vector:
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     cols = transpose(b)
-    return tuple(tuple(sum(map(operator.mul, row, col)) for col in cols) for row in a)
+    return tuple([tuple([sum(map(operator.mul, row, col)) for col in cols]) for row in a])
 
 
 def mat_inverse(m: Matrix) -> Matrix:
@@ -51,14 +51,15 @@ def mat_inverse(m: Matrix) -> Matrix:
     takes from every other row with a nonzero entry (rows with a zero
     entry are skipped) the multiple of itself that leaves that entry
     smaller in absolute value, until one nonzero entry is left, the
-    pivot.  The loop is bounded: the smallest absolute entry is a
-    positive integer that strictly falls on every pass.  A column with no
-    pivot means m is singular, which is decided over the whole
-    triangularization first; then a pivot other than +-1 means the
-    determinant, +- the pivots' product, is not a unit.  Otherwise the
-    +-1 pivots clear the entries above them, and the right half is the
-    inverse.  Raises ValueError if the matrix is singular or the inverse
-    has a non-integer entry (i.e. the determinant is not a unit).
+    pivot; a pass with a +-1 pivot leaves it so at once.  The loop is
+    bounded: the smallest absolute entry is a positive integer that
+    strictly falls on every pass.  A column with no pivot means m is
+    singular, which is decided over the whole triangularization first;
+    then a pivot other than +-1 means the determinant, +- the pivots'
+    product, is not a unit.  Otherwise the +-1 pivots clear the entries
+    above them, and the right half is the inverse.  Raises ValueError if
+    the matrix is singular or the inverse has a non-integer entry (i.e.
+    the determinant is not a unit).
     """
     n = len(m)
     aug = [list(m[i]) + [int(i == j) for j in range(n)] for i in range(n)]
@@ -76,6 +77,8 @@ def mat_inverse(m: Matrix) -> Matrix:
                 if r != p:
                     q = aug[r][col] // d
                     aug[r] = [x - q * y for x, y in zip(aug[r], prow)]
+            if d in (1, -1):  # every other live entry is now zero
+                break
         aug[col], aug[p] = aug[p], aug[col]
     if any(abs(aug[col][col]) != 1 for col in range(n)):
         raise ValueError("matrix is not invertible over the integers")

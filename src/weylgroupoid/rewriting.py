@@ -115,13 +115,18 @@ def apply_move(s: RootGroupoidScheme, w: Word, mv: BraidMove) -> Word:
     evaluation.  Applying the induced move at the same position again
     restores the original word.
     """
-    path = word_path(s, w.letters, w.base)
+    return Word(w.base, _applied(s, w.letters, word_path(s, w.letters, w.base), mv))
+
+
+def _applied(s: RootGroupoidScheme, letters: tuple[int, ...], path: list, mv: BraidMove):
+    """The letters after the move, checked as apply_move checks it; path is
+    the object path of letters (word_path)."""
     p = mv.position
-    at = [p] if p in range(len(w.letters) - 1) else []
-    segs = _segments(s, w.letters, path, at)
+    at = [p] if p in range(len(letters) - 1) else []
+    segs = _segments(s, letters, path, at)
     if segs != [(p, mv.first, mv.second, mv.m, mv.anchor)]:
         raise ValueError("move is not applicable to this word")
-    return Word(w.base, _swapped(w.letters, segs[0]))
+    return _swapped(letters, segs[0])
 
 
 def _is_reduced(s: RootGroupoidScheme, letters: tuple[int, ...], path: list) -> bool:
@@ -256,11 +261,13 @@ def braid_connect(s: RootGroupoidScheme, u: Word, v: Word) -> MoveChain:
         w, (p, x, y, m, anchor) = parents[1][w]
         moves.append(BraidMove(p, y, x, m, anchor))
 
-    # the chain is self-checked before being returned
-    w = u
+    # the chain is self-checked before being returned, each move as
+    # apply_move checks it, on the path carried from the move before
+    w, path = u.letters, pu
     for mv in moves:
-        w = apply_move(s, w, mv)
-    if w != v:
+        w = _applied(s, w, path, mv)
+        path = _moved_path(s, w, path, mv.position, mv.m)
+    if Word(u.base, w) != v:
         raise RuntimeError("assembled move chain does not reach the target word")
     return MoveChain(u, tuple(moves), v)
 

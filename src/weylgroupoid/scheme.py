@@ -218,6 +218,18 @@ class RootTables:
                    index in i |> a of the image of root k, k in -P..P-1
       simple[a]    simple[a][j] is the index of the j-th simple root
       rank_two     rank_two[i][j][a] is the rank-two count (_rank_two_table)
+      action       the scheme's action: sigma[i][a] maps into action[i][a]
+      pairs        pairs[i][j][a] is sigma[i][j |> a] after sigma[j][a], the
+                   letter pair (i, j) from a on indices, laid out as sigma
+                   is; built on first read and kept on the tables
+
+    Word evaluation (groupoid._word_columns) maps the column indices once
+    per two letters through pairs, an odd leftover letter through sigma.
+    The pair table holds rank^2 x objects maps of 2P entries: 15,360 for
+    E8, the largest scheme the tests and the benchmark build (about
+    130 kB, built in about a millisecond).  It is built only when a word
+    of two or more letters is evaluated, so a scheme whose tables only
+    validate, as in a classification scan, never pays for it.
     """
 
     roots: tuple[tuple[Vector, ...], ...]
@@ -225,6 +237,19 @@ class RootTables:
     sigma: tuple[tuple[tuple[int, ...], ...], ...]
     simple: tuple[tuple[int, ...], ...]
     rank_two: tuple[tuple[tuple[int, ...], ...], ...]
+    action: tuple[tuple[int, ...], ...]
+
+    @cached_property
+    def pairs(self) -> tuple[tuple[tuple[tuple[int, ...], ...], ...], ...]:
+        sigma, action = self.sigma, self.action
+        return tuple(
+            tuple(
+                tuple(tuple(map(sigma_i[b].__getitem__, sigma_ja))
+                      for sigma_ja, b in zip(sigma_j, action_j))
+                for sigma_j, action_j in zip(sigma, action)
+            )
+            for sigma_i in sigma
+        )
 
 
 def _root_index(s: RootGroupoidScheme) -> tuple[tuple, tuple, tuple | str]:
@@ -728,7 +753,7 @@ def _checked(s: RootGroupoidScheme) -> tuple[ValidationReport, RootTables | None
     # stored halves that every reflection permutes
     if all(witnesses[k] is None for k in (1, 2, 4)):
         simple = tuple(tuple(idx[s.simple_root(j)] for j in range(s.rank)) for idx in index)
-        tables = RootTables(roots, index, sigma, simple, _rank_two_table(s))
+        tables = RootTables(roots, index, sigma, simple, _rank_two_table(s), s.action)
     witnesses.append(next(_axiom6(s), None))
     witnesses.append(next(_axiom7(s, None if tables is None else tables.rank_two), None))
     checked = (per_pair, per_pair, n_roots, per_pair, per_pair, per_pair, n_rank_two)

@@ -11,9 +11,15 @@ import pytest
 import weylgroupoid as wg
 from weylgroupoid import MINUS_INFINITY, ZERO, Word
 from weylgroupoid import groupoid as groupoid_module
-from weylgroupoid.groupoid import _greedy_walk, generator_element, identity_element
-from weylgroupoid.intmat import identity_matrix
-from weylgroupoid.scheme import _checked
+from weylgroupoid.groupoid import (
+    _greedy_walk,
+    _levels,
+    _word_columns,
+    generator_element,
+    identity_element,
+)
+from weylgroupoid.intmat import identity_matrix, mat_mul
+from weylgroupoid.scheme import _checked, reflection_matrix, word_path
 
 A, B, C, D, E = range(5)
 
@@ -712,3 +718,103 @@ def test_length_refuses_a_matrix_whose_walk_leaves_the_roots(ex5):
     # is_descent reads only the sign of column 0 and makes no walk
     assert wg.is_descent(ex5, g, 0)
     assert not wg.is_descent(ex5, g, 1)
+
+
+# ---------------------------------------------------------------------------
+# words evaluated two letters per step
+
+
+PAIR_SCHEMES = {name: W0_SCHEMES[name] for name in ("EX", "BI3", "BI4", "E8")}
+
+
+@pytest.mark.parametrize("make", PAIR_SCHEMES.values(), ids=PAIR_SCHEMES)
+def test_words_of_every_parity_match_the_dense_product(make):
+    s = make()
+    tables = s.root_tables
+    rng = random.Random(31)
+    for n in range(42):
+        for base in rng.sample(range(s.n_objects), min(2, s.n_objects)):
+            letters = tuple(rng.randrange(s.rank) for _ in range(n))
+            path, cols = _word_columns(s, letters, base)
+            assert path == word_path(s, letters, base)
+            m = identity_matrix(s.rank)
+            for i, a in zip(reversed(letters), reversed(path[1:])):
+                m = mat_mul(reflection_matrix(s, i, a), m)
+            assert tuple(map(tables.roots[path[0]].__getitem__, cols)) == tuple(zip(*m))
+
+
+@pytest.mark.parametrize("make", PAIR_SCHEMES.values(), ids=PAIR_SCHEMES)
+def test_pair_table_composes_two_reflections(make):
+    s = make()
+    tables = s.root_tables
+    sigma = tables.sigma
+    for i, j, a in itertools.product(range(s.rank), range(s.rank), range(s.n_objects)):
+        b = s.action[j][a]
+        size = len(s.positive_roots[a])
+        pair = tables.pairs[i][j][a]
+        assert len(pair) == 2 * size
+        assert all(pair[k] == sigma[i][b][sigma[j][a][k]] for k in range(-size, size))
+
+
+@pytest.mark.parametrize("make", PAIR_SCHEMES.values(), ids=PAIR_SCHEMES)
+def test_pair_table_is_built_by_the_first_word_of_two_letters(make):
+    s = make()
+    # validation and the walks read no word, so they build no pair table
+    assert wg.validate(s).passed
+    wg.length(s, wg.longest_element(s, 0))
+    assert "pairs" not in vars(s.root_tables)
+    wg.element_of_word(s, Word(0, (0,)))
+    assert "pairs" not in vars(s.root_tables)
+    wg.element_of_word(s, Word(0, (0, 1)))
+    pairs = vars(s.root_tables)["pairs"]
+    # an equal copy builds its own tables, and no pair table with them
+    t = dataclasses.replace(s)
+    assert t == s and hash(t) == hash(s) and "root_tables" not in vars(t)
+    assert "pairs" not in vars(t.root_tables)
+    assert t.root_tables.pairs == pairs and t.root_tables.pairs is not pairs
+
+
+def _q_integer_product(degrees):
+    """The coefficients of the product of [d]_q = 1 + q + ... + q^(d-1)."""
+    coefficients = [1]
+    for d in degrees:
+        out = [0] * (len(coefficients) + d - 1)
+        for k, c in enumerate(coefficients):
+            for e in range(d):
+                out[k + e] += c
+        coefficients = out
+    return coefficients
+
+
+# the degrees of the basic invariants (Humphreys, Reflection Groups and
+# Coxeter Groups, Table 3.1)
+DEGREES = {
+    "A4": (2, 3, 4, 5),
+    "B4": (2, 4, 6, 8),
+    "D5": (2, 4, 5, 6, 8),
+    "F4": (2, 6, 8, 12),
+    "E6": (2, 5, 6, 8, 9, 12),
+}
+
+
+@pytest.mark.parametrize("name", DEGREES)
+def test_level_widths_are_the_poincare_polynomial(name):
+    # the number of elements of each length in a Weyl group is the
+    # coefficient of its Poincare polynomial, the product of [d_i]_q
+    s = LONGEST_SCHEMES[name]()
+    widths = [len(level) for level in _levels(s, 0)]
+    assert widths == _q_integer_product(DEGREES[name])
+
+
+@pytest.mark.parametrize("name", ["EX", "BI3", "BI4"])
+def test_level_widths_are_palindromic_at_every_object(name):
+    # w -> w0 w maps the elements of length l from a onto those of length
+    # |Phi+(a)| - l, and every object has as many elements leaving it
+    s = LONGEST_SCHEMES[name]()
+    totals = set()
+    for a in range(s.n_objects):
+        widths = [len(level) for level in _levels(s, a)]
+        assert len(widths) == len(s.positive_roots[a]) + 1
+        assert widths == widths[::-1]
+        totals.add(sum(widths))
+    assert len(totals) == 1
