@@ -19,6 +19,7 @@ equal, non-arithmetic input), 2 usage or input-format error.
 from __future__ import annotations
 
 import argparse
+import itertools
 import os
 import sys
 
@@ -188,9 +189,22 @@ def cmd_longest(s, args) -> int:
     return _report_element(s, groupoid.longest_element(s, args.base))
 
 
+def _count_elements(s, base) -> int:
+    """The number of elements (from base, if given), read off the levels up
+    to the middle one: w -> w0 w maps the elements of length l from an
+    object onto those of length N - l, N its number of positive roots,
+    which the root tables make one number at every object, so the level
+    widths are palindromic."""
+    levels = groupoid._levels(s, base)
+    widths = [len(next(levels))]  # the root tables check the axioms first
+    n = len(s.positive_roots[0])
+    widths += map(len, itertools.islice(levels, n // 2))
+    return 2 * sum(widths) - (0 if n % 2 else widths[-1])
+
+
 def cmd_enumerate(s, args) -> int:
     # count first, then print each level as it comes: level n has length n
-    print(f"count {sum(map(len, groupoid._levels(s, args.base)))}")
+    print(f"count {_count_elements(s, args.base)}")
     for n, level in enumerate(groupoid._levels(s, args.base)):
         for a, b, matrix in groupoid._sorted_level(s, level):
             flat = " ".join(str(x) for row in matrix for x in row)

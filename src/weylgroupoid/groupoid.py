@@ -24,7 +24,13 @@ and longest_element return keep those indices; any other element has
 them looked up once, on its first query.  Length and the canonical reduced
 word are both read off one walk that strips right descents, made once
 per element and kept with its indices; the longest element keeps the
-letters of the walk that built it instead (longest_element).  As one
+letters of the walk that built it instead (longest_element).  An
+evaluated element keeps its word too.  A reflection at i |> a undoes the
+one at a, so an element that keeps either word is inverted by
+evaluating it reversed on the same tables, and a product g after h
+carries h's column indices through g's word.  Only an element that
+keeps neither word, or a right factor on other tables, falls back to
+integer matrix algebra (mat_inverse, mat_mul).  As one
 generator changes the length by exactly one, enumeration goes level by
 level, an element's level being its length, and holds at most two.
 """
@@ -114,16 +120,17 @@ def _element(tables: RootTables, source: int, target: int, cols) -> GroupoidElem
 
 
 def _keep(
-    g: GroupoidElement, tables: RootTables, cols: tuple[int, ...], stripped=None
+    g: GroupoidElement, tables: RootTables, cols: tuple[int, ...], stripped=None, word=None
 ) -> GroupoidElement:
     """g, holding cols, the root indices of its columns in tables.
 
     They live on the instance, outside the fields, so equality, hashing,
-    repr and replace() ignore them; next to them sits the memo of the
+    repr and replace() ignore them; next to them sit the memo of the
     descent walk (_stripped), None until it is walked unless its letters
-    are given as stripped.
+    are given as stripped, and the letters of a word that evaluates to g
+    from its source on these tables, or None.
     """
-    vars(g)["_indices"] = [tables, cols, stripped]
+    vars(g)["_indices"] = [tables, cols, stripped, word]
     return g
 
 
@@ -132,8 +139,8 @@ def element_of_word(s: RootGroupoidScheme, w: Word) -> GroupoidElement:
 
     Letters act rightmost first.  With root tables the simple roots of the
     base, the columns, are carried through by index lookups, two letters
-    per lookup (_word_columns), and the result keeps their indices
-    (_keep); without them (roots missing or truncated, or breaking one of
+    per lookup (_word_columns), and the result keeps their indices and
+    its letters (_keep); without them (roots missing or truncated, or breaking one of
     the seven axioms) each reflection replaces row i of the matrix M by
     c.M, c its coefficients.  Either
     way the result is never zero, and root data raises nothing.
@@ -147,23 +154,28 @@ def element_of_word(s: RootGroupoidScheme, w: Word) -> GroupoidElement:
             m = m[:i] + (mat_vec(transpose(m), s.coefficients[i][a]),) + m[i + 1 :]
         return GroupoidElement(w.base, path[0], m)
     tables = s.root_tables
-    return _keep(_element(tables, w.base, path[0], cols), tables, cols)
+    return _keep(_element(tables, w.base, path[0], cols), tables, cols, word=tuple(w.letters))
 
 
 def _word_columns(s: RootGroupoidScheme, letters, base: int):
-    """The word's path (see word_path), then the root indices of its columns:
-    the simple roots of the base carried through the letters, rightmost
-    first, two letters per lookup in the pair table (RootTables.pairs).
-    Checks the base and the letters, as word_path does, before it reads
-    the root tables."""
+    """The word's path (see word_path), then the root indices of its
+    columns: the simple roots of the base carried through the letters
+    (_carry).  Checks the base and the letters, as word_path does, before
+    it reads the root tables."""
     check_object(s, base)
     if letters and not (0 <= min(letters) and max(letters) < s.rank):
         word_path(s, letters, base)  # raises naming the bad letter
     tables = s.root_tables
-    action = s.action
+    return _carry(tables, letters, base, tables.simple[base])
+
+
+def _carry(tables: RootTables, letters, base: int, cols):
+    """The word's path from base (see word_path), then cols, root indices
+    at base, carried through the letters, rightmost first, two letters
+    per lookup in the pair table (RootTables.pairs).  Checks nothing."""
+    action = tables.action
     k = len(letters)
     path = [base] * (k + 1)
-    cols = tables.simple[base]
     a = base
     if k % 2:  # the rightmost letter of an odd word goes alone
         k -= 1
@@ -180,27 +192,65 @@ def _word_columns(s: RootGroupoidScheme, letters, base: int):
     return path, cols
 
 
+def _letters(entry):
+    """The letters of a word for the element that keeps entry (_keep):
+    its canonical word once walked, else the word it was evaluated from;
+    None when it has neither or keeps no entry."""
+    if entry is None:
+        return None
+    return entry[3] if entry[2] is None else entry[2]
+
+
 def compose(g: GroupoidElement, h: GroupoidElement) -> GroupoidElement:
     """The product g after h; zero when g's source is not h's target, and
-    ValueError unless both matrices are square of one size."""
+    ValueError unless both matrices are square of one size.
+
+    When g keeps a word (_letters) and h keeps its column indices on the
+    same root tables, h's columns, roots of g's source, are carried
+    through g's word (_carry) and the product keeps its column indices
+    but no word, so no kept word grows by composition; otherwise the
+    matrices are multiplied.  The representation is faithful, so both
+    give the same element.
+    """
     if g.is_zero or h.is_zero or g.source != h.target:
         return ZERO
     if {len(h.matrix), *map(len, g.matrix), *map(len, h.matrix)} != {len(g.matrix)}:
         raise ValueError("element matrices are not square of one size")
+    entry, h_entry = vars(g).get("_indices"), vars(h).get("_indices")
+    letters = _letters(entry)
+    if letters is not None and h_entry is not None and h_entry[0] is entry[0]:
+        tables = entry[0]
+        cols = _carry(tables, letters, h.target, h_entry[1])[1]
+        return _keep(_element(tables, h.source, g.target, cols), tables, cols)
     return GroupoidElement(h.source, g.target, mat_mul(g.matrix, h.matrix))
 
 
 def inverse(g: GroupoidElement) -> GroupoidElement:
-    """g's inverse; ValueError for zero and for a matrix that is not square."""
+    """g's inverse; ValueError for zero and for a matrix that is not square.
+
+    A reflection at i |> a undoes the one at a, so when g keeps a word
+    (_letters) its inverse is that word reversed, evaluated from g's
+    target on g's root tables (_carry); the result keeps its column
+    indices and the reversed word.  Any other g, such as one built from
+    a matrix, is inverted by integer row operations (mat_inverse).
+    """
     if g.is_zero:
         raise ValueError("the zero element has no inverse")
     if {*map(len, g.matrix)} != {len(g.matrix)}:
         raise ValueError("element matrix is not square")
-    return GroupoidElement(g.target, g.source, mat_inverse(g.matrix))
+    entry = vars(g).get("_indices")
+    letters = _letters(entry)
+    if letters is None:
+        return GroupoidElement(g.target, g.source, mat_inverse(g.matrix))
+    tables = entry[0]
+    back = letters[::-1]
+    cols = _carry(tables, back, g.target, tables.simple[g.target])[1]
+    return _keep(_element(tables, g.target, g.source, cols), tables, cols, word=back)
 
 
 def _indices(s: RootGroupoidScheme, g: GroupoidElement) -> list:
-    """The nonzero g's [tables, column indices, stripped letters or None] for s.
+    """The nonzero g's [tables, column indices, stripped letters or None,
+    word or None] for s (_keep).
 
     Raises as s.root_tables does first.  The entry that _keep left is
     used when its tables are s's own; otherwise g must fit s (source and

@@ -724,12 +724,14 @@ def validate(s: RootGroupoidScheme) -> ValidationReport:
     index, which the root tables are made of; the tables are kept only
     when axioms 2, 3 and 5 pass.  The root_tables gate reads the same
     report and raises its first failure.  When every axiom passes on
-    finite roots, the tables are kept as the scheme's root_tables, so
-    later reads do not check the axioms again.
+    finite roots, the tables are kept as the scheme's root_tables, unless
+    it has them already, so later reads do not check the axioms again.
     """
     report, tables = _checked(s)
     if s.status == FINITE and report.passed:
-        vars(s)["root_tables"] = tables
+        # tables already built stay, with their pair table and the
+        # elements that keep indices in them
+        vars(s).setdefault("root_tables", tables)
     return report
 
 

@@ -7,7 +7,7 @@ import sys
 import pytest
 
 import weylgroupoid as wg
-from weylgroupoid.cli import main
+from weylgroupoid.cli import _count_elements, main
 
 LONGEST = "1 2 1 3 2 3 1 3 2 1"
 COUNTER = "2 1 3 2 3 1 3 2 1 3"
@@ -412,3 +412,26 @@ def test_enumerate_prints_each_element_with_its_length(scheme_file, capsys, base
         for g in wg.enumerate_elements(s, source)
     ]
     assert lines[1:] == want
+
+
+@pytest.mark.parametrize("make", [
+    wg.rank3_example,
+    lambda: wg.generate_roots(wg.from_cartan(((2, -1, 0), (-1, 2, -1), (0, -2, 2))), 20),
+], ids=["EX", "B3"])
+def test_count_reads_the_levels_up_to_the_middle(make, monkeypatch):
+    # EX has 10 positive roots at every object and B3 has 9: the count
+    # doubles the levels below the middle and adds a middle level once
+    s = make()
+    n = len(s.positive_roots[0])
+    levels, read = wg.groupoid._levels, []
+
+    def counted(s, source=None):
+        for level in levels(s, source):
+            read.append(len(level))
+            yield level
+
+    monkeypatch.setattr(wg.groupoid, "_levels", counted)
+    for base in (None, *range(s.n_objects)):
+        read.clear()
+        assert _count_elements(s, base) == sum(map(len, levels(s, base)))
+        assert len(read) == n // 2 + 1

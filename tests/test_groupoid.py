@@ -18,7 +18,7 @@ from weylgroupoid.groupoid import (
     generator_element,
     identity_element,
 )
-from weylgroupoid.intmat import identity_matrix, mat_mul
+from weylgroupoid.intmat import identity_matrix, mat_inverse, mat_mul, transpose
 from weylgroupoid.scheme import _checked, reflection_matrix, word_path
 
 A, B, C, D, E = range(5)
@@ -773,6 +773,117 @@ def test_pair_table_is_built_by_the_first_word_of_two_letters(make):
     assert "pairs" not in vars(t.root_tables)
     assert t.root_tables.pairs == pairs and t.root_tables.pairs is not pairs
 
+
+def test_validate_keeps_the_tables_it_finds(ex5):
+    s = dataclasses.replace(ex5)
+    g = wg.element_of_word(s, LONGEST_A)
+    tables = s.root_tables
+    assert "pairs" in vars(tables)
+    assert wg.validate(s).passed
+    assert s.root_tables is tables and "pairs" in vars(tables)
+    assert vars(g)["_indices"][0] is s.root_tables
+
+
+# ---------------------------------------------------------------------------
+# inverse and compose on the root tables
+
+
+def _dense(g):
+    """g's inverse by integer row operations."""
+    return wg.GroupoidElement(g.target, g.source, mat_inverse(g.matrix))
+
+
+def _product(g, h):
+    """g after h by matrix multiplication."""
+    return wg.GroupoidElement(h.source, g.target, mat_mul(g.matrix, h.matrix))
+
+
+@pytest.mark.parametrize("make", PAIR_SCHEMES.values(), ids=PAIR_SCHEMES)
+def test_inverse_and_compose_match_the_dense_kernels(make):
+    s = make()
+    rng = random.Random(43)
+    for n in range(42):
+        for walked in (False, True):
+            h = wg.element_of_word(s, Word(rng.randrange(s.n_objects),
+                                           tuple(rng.randrange(s.rank) for _ in range(n))))
+            g = wg.element_of_word(s, Word(h.target,
+                                           tuple(rng.randrange(s.rank) for _ in range(n))))
+            if walked:  # the canonical word is the one carried
+                wg.length(s, g)
+            inv = wg.inverse(g)
+            assert inv == _dense(g)
+            entry = vars(inv)["_indices"]
+            assert entry[0] is s.root_tables and entry[2] is None
+            carried = vars(g)["_indices"][2 if walked else 3]
+            assert entry[3] == carried[::-1]
+            assert wg.inverse(inv) == g
+            assert wg.length(s, inv) == wg.length(s, g)
+            gh = wg.compose(g, h)
+            assert gh == _product(g, h)
+            # the product keeps its columns but no word
+            assert vars(gh)["_indices"][0] is s.root_tables
+            assert vars(gh)["_indices"][2:] == [None, None]
+            e = wg.compose(g, inv)
+            assert e == identity_element(s, g.target)
+            assert wg.compose(inv, g) == identity_element(s, g.source)
+
+
+@pytest.mark.parametrize("make", PAIR_SCHEMES.values(), ids=PAIR_SCHEMES)
+def test_inverse_of_the_longest_element_reverses_its_walk(make):
+    s = make()
+    for a in range(s.n_objects):
+        w0 = wg.longest_element(s, a)
+        letters = vars(w0)["_indices"][2]
+        inv = wg.inverse(w0)
+        # w0's matrix is a negated permutation, so its inverse is its transpose
+        assert inv == _dense(w0) == wg.GroupoidElement(w0.target, a, transpose(w0.matrix))
+        assert vars(inv)["_indices"][3] == letters[::-1]
+        assert wg.length(s, inv) == len(letters)
+        assert wg.compose(w0, inv) == identity_element(s, w0.target)
+
+
+def test_copies_and_other_tables_fall_back_to_the_dense_kernels(ex5):
+    rng = random.Random(47)
+    t = dataclasses.replace(ex5)
+    for _ in range(30):
+        h = wg.element_of_word(ex5, Word(rng.randrange(5),
+                                         tuple(rng.randrange(3) for _ in range(rng.randint(0, 12)))))
+        g = wg.element_of_word(ex5, Word(h.target,
+                                         tuple(rng.randrange(3) for _ in range(rng.randint(0, 12)))))
+        for copied in (copy.copy(g), copy.deepcopy(g), pickle.loads(pickle.dumps(g))):
+            # a copy keeps no word, so it is inverted and multiplied as a matrix
+            inv = wg.inverse(copied)
+            assert inv == _dense(g) and "_indices" not in vars(inv)
+            gh = wg.compose(copied, h)
+            assert gh == _product(g, h) and "_indices" not in vars(gh)
+        # a right factor evaluated on an equal scheme has other tables
+        h_t = wg.element_of_word(t, Word(h.source, vars(h)["_indices"][3]))
+        assert h_t == h
+        gh = wg.compose(g, h_t)
+        assert gh == _product(g, h) and "_indices" not in vars(gh)
+
+
+def test_elements_built_from_matrices_keep_the_dense_kernels(ex5):
+    m = wg.element_of_word(ex5, LONGEST_A)
+    built = wg.GroupoidElement(m.source, m.target, m.matrix)
+    inv = wg.inverse(built)
+    assert inv == _dense(m) and "_indices" not in vars(inv)
+    # once walked, its canonical word is kept and carried
+    assert wg.length(ex5, built) == 10
+    inv = wg.inverse(built)
+    assert inv == _dense(m) and vars(inv)["_indices"][3] == vars(built)["_indices"][2][::-1]
+    # a matrix that is no element is refused as mat_inverse refuses it
+    doubled = ((2, 0, 0), (0, 1, 0), (0, 0, 1))
+    with pytest.raises(ValueError) as dense_error:
+        mat_inverse(doubled)
+    with pytest.raises(ValueError, match=f"^{re.escape(str(dense_error.value))}$"):
+        wg.inverse(wg.GroupoidElement(A, A, doubled))
+    # the shape checks come before any kept word is read
+    small = wg.GroupoidElement(m.source, m.source, identity_matrix(2))
+    with pytest.raises(ValueError, match="^element matrices are not square of one size$"):
+        wg.compose(m, small)
+    with pytest.raises(ValueError, match="^element matrices are not square of one size$"):
+        wg.compose(wg.GroupoidElement(m.target, m.target, identity_matrix(2)), m)
 
 def _q_integer_product(degrees):
     """The coefficients of the product of [d]_q = 1 + q + ... + q^(d-1)."""
