@@ -38,6 +38,8 @@ def _read_file(path: str) -> str:
             return fh.read()
     except OSError as e:
         raise UsageError(f"cannot read {path}: {e.strerror}") from None
+    except UnicodeDecodeError as e:
+        raise UsageError(f"cannot read {path}: {e}") from None
 
 
 def _load(path: str) -> RootGroupoidScheme:

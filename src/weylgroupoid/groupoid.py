@@ -21,18 +21,21 @@ table has rank^2 x objects maps of 2|Phi+(a)| entries (15,360 for E8)
 and is built on the first word of two or more letters, so a scheme that
 evaluates no word never builds it.  The elements that element_of_word
 and longest_element return keep those indices; any other element has
-them looked up once, on its first query.  Length and the canonical reduced
-word are both read off one walk that strips right descents, made once
-per element and kept with its indices; the longest element keeps the
-letters of the walk that built it instead (longest_element).  An
-evaluated element keeps its word too.  A reflection at i |> a undoes the
-one at a, so an element that keeps either word is inverted by
-evaluating it reversed on the same tables, and a product g after h
-carries h's column indices through g's word.  Only an element that
-keeps neither word, or a right factor on other tables, falls back to
-integer matrix algebra (mat_inverse, mat_mul).  As one
-generator changes the length by exactly one, enumeration goes level by
-level, an element's level being its length, and holds at most two.
+them looked up once, on its first query, and moves all it keeps to the
+tables of an equal copy of its scheme (equal roots, reflections and
+action, as replace() makes).  Length and the canonical reduced word are
+both read off one walk that strips right descents, made once per element
+and kept with its indices.  An element keeps at most one word that
+evaluates to it: the word it was evaluated from, or its canonical word
+once walked; the longest element keeps the word of the walk that built
+it (longest_element).  A reflection at i |> a undoes the one at a, so an
+element that keeps a word is inverted by evaluating it reversed on the
+same tables, and a product g after h carries h's column indices through
+g's word (_carry).  Only an element that keeps no word, or a right
+factor on other tables, falls back to integer matrix algebra
+(mat_inverse, mat_mul).  As one generator changes the length by exactly
+one, enumeration goes level by level, an element's level being its
+length, and holds at most two.
 """
 
 from __future__ import annotations
@@ -127,8 +130,9 @@ def _keep(
     They live on the instance, outside the fields, so equality, hashing,
     repr and replace() ignore them; next to them sit the memo of the
     descent walk (_stripped), None until it is walked unless its letters
-    are given as stripped, and the letters of a word that evaluates to g
-    from its source on these tables, or None.
+    are given as stripped, and g's one kept word: the letters of a word
+    that evaluates to g from its source on these tables, or None.  The
+    walk writes its canonical word there too.
     """
     vars(g)["_indices"] = [tables, cols, stripped, word]
     return g
@@ -192,20 +196,11 @@ def _carry(tables: RootTables, letters, base: int, cols):
     return path, cols
 
 
-def _letters(entry):
-    """The letters of a word for the element that keeps entry (_keep):
-    its canonical word once walked, else the word it was evaluated from;
-    None when it has neither or keeps no entry."""
-    if entry is None:
-        return None
-    return entry[3] if entry[2] is None else entry[2]
-
-
 def compose(g: GroupoidElement, h: GroupoidElement) -> GroupoidElement:
     """The product g after h; zero when g's source is not h's target, and
     ValueError unless both matrices are square of one size.
 
-    When g keeps a word (_letters) and h keeps its column indices on the
+    When g keeps a word (_keep) and h keeps its column indices on the
     same root tables, h's columns, roots of g's source, are carried
     through g's word (_carry) and the product keeps its column indices
     but no word, so no kept word grows by composition; otherwise the
@@ -217,10 +212,9 @@ def compose(g: GroupoidElement, h: GroupoidElement) -> GroupoidElement:
     if {len(h.matrix), *map(len, g.matrix), *map(len, h.matrix)} != {len(g.matrix)}:
         raise ValueError("element matrices are not square of one size")
     entry, h_entry = vars(g).get("_indices"), vars(h).get("_indices")
-    letters = _letters(entry)
-    if letters is not None and h_entry is not None and h_entry[0] is entry[0]:
+    if entry and entry[3] is not None and h_entry and h_entry[0] is entry[0]:
         tables = entry[0]
-        cols = _carry(tables, letters, h.target, h_entry[1])[1]
+        cols = _carry(tables, entry[3], h.target, h_entry[1])[1]
         return _keep(_element(tables, h.source, g.target, cols), tables, cols)
     return GroupoidElement(h.source, g.target, mat_mul(g.matrix, h.matrix))
 
@@ -229,7 +223,7 @@ def inverse(g: GroupoidElement) -> GroupoidElement:
     """g's inverse; ValueError for zero and for a matrix that is not square.
 
     A reflection at i |> a undoes the one at a, so when g keeps a word
-    (_letters) its inverse is that word reversed, evaluated from g's
+    (_keep) its inverse is that word reversed, evaluated from g's
     target on g's root tables (_carry); the result keeps its column
     indices and the reversed word.  Any other g, such as one built from
     a matrix, is inverted by integer row operations (mat_inverse).
@@ -239,13 +233,15 @@ def inverse(g: GroupoidElement) -> GroupoidElement:
     if {*map(len, g.matrix)} != {len(g.matrix)}:
         raise ValueError("element matrix is not square")
     entry = vars(g).get("_indices")
-    letters = _letters(entry)
-    if letters is None:
+    if entry is None or entry[3] is None:
         return GroupoidElement(g.target, g.source, mat_inverse(g.matrix))
-    tables = entry[0]
-    back = letters[::-1]
+    tables, back = entry[0], entry[3][::-1]
     cols = _carry(tables, back, g.target, tables.simple[g.target])[1]
     return _keep(_element(tables, g.target, g.source, cols), tables, cols, word=back)
+
+
+# what an element's kept indices and word mean on a set of root tables
+_table_data = operator.attrgetter("roots", "sigma", "action")
 
 
 def _indices(s: RootGroupoidScheme, g: GroupoidElement) -> list:
@@ -253,14 +249,17 @@ def _indices(s: RootGroupoidScheme, g: GroupoidElement) -> list:
     word or None] for s (_keep).
 
     Raises as s.root_tables does first.  The entry that _keep left is
-    used when its tables are s's own; otherwise g must fit s (source and
+    used when its tables are s's own, and moved to them, word and walk
+    intact, when its tables hold equal roots, reflections and action (as
+    an equal replace() copy's do).  Otherwise g must fit s (source and
     target objects of s, a rank x rank matrix, else ValueError), each
     column is looked up once among the roots of g's target (ValueError
     if one is not a root), and the result is kept in the same way.
     """
     tables = s.root_tables
     entry = vars(g).get("_indices")
-    if entry is not None and entry[0] is tables:
+    if entry is not None and (entry[0] is tables or _table_data(entry[0]) == _table_data(tables)):
+        entry[0] = tables
         return entry
     n, rank = s.n_objects, s.rank
     if not (0 <= g.source < n and 0 <= g.target < n):
@@ -279,11 +278,12 @@ def _indices(s: RootGroupoidScheme, g: GroupoidElement) -> list:
 
 def _stripped(s: RootGroupoidScheme, g: GroupoidElement) -> tuple[int, ...]:
     """The letters of g's canonical reduced word, walked once per element
-    and kept with its indices (_indices, which raises first)."""
+    and kept with its indices as its walk and its word (_indices, which
+    raises first)."""
     entry = _indices(s, g)
     if entry[2] is None:
         try:
-            entry[2] = _stripped_letters(s, g.source, g.target, entry[1])
+            entry[2] = entry[3] = _stripped_letters(s, g.source, g.target, entry[1])
         except KeyError:
             raise ValueError(
                 "not a groupoid element: the descent walk leaves the roots of its target"
@@ -420,14 +420,14 @@ def longest_element(s: RootGroupoidScheme, a: int) -> GroupoidElement:
     are the rows of the result.  The result's length is the number of
     positive roots.
 
-    It keeps its column indices and its canonical word (_keep), read off
-    the same walk: w0 sends every positive root of a negative, so the
-    right descents of w0 after w are exactly the ascents of w, and
-    stripping the smallest descent from w0 appends, letter by letter, the
-    smallest ascent that the walk appended.  The stripped letters are the
-    walk's, and the canonical word is the walk reversed; length and
-    canonical_reduced_word make no walk of their own.  Raises as
-    root_tables does.
+    It keeps its column indices and its canonical word, as its walk and
+    its word (_keep), read off the same walk: w0 sends every positive root
+    of a negative, so the right descents of w0 after w are exactly the
+    ascents of w, and stripping the smallest descent from w0 appends,
+    letter by letter, the smallest ascent that the walk appended.  The
+    stripped letters are the walk's, and the canonical word is the walk
+    reversed; length and canonical_reduced_word make no walk of their own.
+    Raises as root_tables does.
     """
     check_object(s, a)
     tables = s.root_tables
@@ -443,7 +443,8 @@ def longest_element(s: RootGroupoidScheme, a: int) -> GroupoidElement:
             )
         w0 = GroupoidElement(a, b, tuple(map(tables.roots[a].__getitem__, cols)))
         w0_cols = tuple(map(tables.index[b].__getitem__, zip(*w0.matrix)))
-        cache[a] = _keep(w0, tables, w0_cols, tuple(reversed(letters)))
+        letters = tuple(reversed(letters))
+        cache[a] = _keep(w0, tables, w0_cols, letters, letters)
     return cache[a]
 
 

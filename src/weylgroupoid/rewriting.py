@@ -25,6 +25,7 @@ from .groupoid import (
     GroupoidElement,
     Word,
     _alternating,
+    _carry,
     _stripped_letters,
     _word_columns,
     canonical_reduced_word,
@@ -319,12 +320,6 @@ def _block_word(s: RootGroupoidScheme, js, ks, anchors):
     return letters, path, cols
 
 
-def _prefixed(s: RootGroupoidScheme, k: int, path: list, cols: tuple[int, ...]):
-    """The target and columns of a word with this path and these columns
-    (_word_columns) once letter k is put in front: one more step of its walk."""
-    return s.action[k][path[0]], tuple(map(s.root_tables.sigma[k][path[0]].__getitem__, cols))
-
-
 def weak_exchange_factor(
     s: RootGroupoidScheme, w: Word, j: int
 ) -> WeakExchangeFactorization:
@@ -365,9 +360,9 @@ def weak_exchange_factor(
             raise RuntimeError("block letters coincide; factorization is invalid")
         d = tables.rank_two[jt][k_current][tail_target]
         # the block's inverse followed by the tail; it ends at the block's base
-        for i in _alternating(jt, k_current, d - 1):
-            tail_cols = tuple(map(tables.sigma[i][tail_target].__getitem__, tail_cols))
-            tail_target = s.action[i][tail_target]
+        back = _alternating(jt, k_current, d - 1)[::-1]
+        back_path, tail_cols = _carry(tables, back, tail_target, tail_cols)
+        tail_target = back_path[0]
         rest = _stripped_letters(s, a, tail_target, tail_cols)
         if len(rest) != len(tail) - (d - 1):
             raise RuntimeError("block stripping did not shorten as required")
@@ -404,12 +399,13 @@ def weak_exchange_factor(
     # absorption: (blocks) s_{j, j|>a} = s_{k1} (shifted blocks); the left
     # side is zero unless j |> b is a, and it starts at b
     path1, cols1 = _word_columns(s, w.letters + (j,), b)
-    right = _prefixed(s, simple_index, shifted_path, shifted_cols)
-    if s.action[j][b] != a or shifted_path[-1] != b or (path1[0], cols1) != right:
+    path2, cols2 = _carry(tables, (simple_index,), shifted_path[0], shifted_cols)
+    if s.action[j][b] != a or shifted_path[-1] != b or (path1[0], cols1) != (path2[0], cols2):
         raise RuntimeError("absorption identity fails on the shifted blocks")
     # and back: (shifted blocks) s_{j, a} = s_{k1} (blocks), both from a
     path1, cols1 = _word_columns(s, shifted_letters + (j,), a)
-    if (path1[0], cols1) != _prefixed(s, simple_index, path, cols):
+    path2, cols2 = _carry(tables, (simple_index,), target, cols)
+    if (path1[0], cols1) != (path2[0], cols2):
         raise RuntimeError("reverse absorption identity fails")
 
     return WeakExchangeFactorization(r, tuple(js), tuple(ks), tuple(anchors))

@@ -444,7 +444,7 @@ def load_scheme(text: str) -> RootGroupoidScheme:
     """
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as e:
+    except (json.JSONDecodeError, RecursionError) as e:  # RecursionError: nested too deeply
         raise SchemeFormatError(f"not valid JSON: {e}") from None
     if not isinstance(data, dict):
         raise SchemeFormatError("top level: expected a JSON object")

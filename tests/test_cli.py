@@ -56,6 +56,31 @@ def test_validate_missing_file(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ("validate", "--scheme"),
+    ("from-cartan", "--matrix"),
+    ("from-bichar", "--order", "3", "--matrix"),
+], ids=["scheme", "from-cartan", "from-bichar"])
+def test_file_that_is_not_utf8_is_an_input_error(tmp_path, capsys, argv):
+    path = tmp_path / "latin1.txt"
+    path.write_bytes(b"\xff2 -1\n-1 2\n")
+    code = main([*argv, str(path)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err == f"error: cannot read {path}: 'utf-8' codec can't decode byte 0xff " \
+        "in position 0: invalid start byte\n"
+
+
+def test_json_nested_too_deeply_is_an_input_error(tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 200000, encoding="utf-8")
+    code = main(["validate", "--scheme", str(path)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert re.fullmatch(f"error: {re.escape(str(path))}: not valid JSON: maximum recursion "
+                        "depth exceeded[^\n]*\n", err)
+
+
 def test_act(scheme_file, capsys):
     code, out = run(capsys, "act", "--scheme", scheme_file, "--base", "a", "--word", "1 3")
     assert code == 0

@@ -46,7 +46,8 @@ E8 = (
     (0, 0, 0, 0, 0, -1, 2, 0),
     (0, 0, 0, 0, -1, 0, 0, 2),
 )
-# schemes without root tables, whose words evaluate by reflect_vector
+# schemes without root tables, whose words evaluate by matrix rows: each
+# reflection replaces row i of M by c.M (mat_vec of the transpose)
 MATRIX_SCHEMES = {
     # affine A1 cut at height 10
     "truncated": wg.generate_roots(wg.from_cartan(((2, -2), (-2, 2))), 10),

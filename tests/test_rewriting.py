@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import itertools
 import random
 import re
@@ -726,6 +727,32 @@ def test_weak_exchange_matches_matrix_oracle_on_sampled_words(name):
         for j in _hypothesis_letters(s, w):
             _assert_factorization_by_matrices(s, w, j)
             checked += 1
+
+
+# sha256 of the reprs of the factorizations that
+# test_weak_exchange_factorizations_are_pinned makes, one per line
+EXCHANGE_DIGESTS = {
+    "BI3": "ce9216675fc475953b193bc74e0202a064b6800dbb3ac050f7c4367b95bebfc7",
+    "EX": "99d70afb646222948c7dc653a831f2819173725b49bbd4cd2caa7ebb54a7f919",
+    "F4": "beee98259c6fc0a6b7cb0bb646fb69534241b74d5eda9788c337dee77dde2ff9",
+}
+
+
+@pytest.mark.parametrize("name", sorted(EXCHANGE_DIGESTS))
+def test_weak_exchange_factorizations_are_pinned(name):
+    # the matrix oracles accept any valid choice of blocks; this pins the
+    # blocks chosen, on reduced words of 1 to 9 letters drawn with a fixed seed
+    s = SEARCH_SCHEMES[name]
+    rng = random.Random(f"weak exchange {name}")
+    lines = []
+    for n in itertools.islice(itertools.cycle(range(1, 10)), 540):
+        w = Word(rng.randrange(s.n_objects), ())
+        for _ in range(3 * n):
+            longer = Word(w.base, w.letters + (rng.randrange(s.rank),))
+            if len(longer) <= n and wg.length(s, wg.element_of_word(s, longer)) == len(longer):
+                w = longer
+        lines += [repr(wg.weak_exchange_factor(s, w, j)) for j in _hypothesis_letters(s, w)]
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == EXCHANGE_DIGESTS[name]
 
 
 @pytest.mark.parametrize("scheme", ["truncated", "stripped", "affine"])

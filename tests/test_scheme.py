@@ -83,6 +83,12 @@ def test_load_rejects_garbage():
         wg.load_scheme("not json at all {")
 
 
+def test_load_rejects_json_nested_too_deeply():
+    # the JSON decoder recurses once per level; too deep is a format error
+    with pytest.raises(SchemeFormatError, match="^not valid JSON: maximum recursion depth"):
+        wg.load_scheme("[" * 200000)
+
+
 def test_load_rejects_negative_coefficient(ex5):
     doc = json.loads(wg.save_scheme(ex5))
     doc["coefficients"][0][0][1] = -2
