@@ -21,11 +21,9 @@ table has rank^2 x objects maps of 2|Phi+(a)| entries (15,360 for E8)
 and is built on the first word of two or more letters, so a scheme that
 evaluates no word never builds it.  The elements that element_of_word
 and longest_element return keep those indices; any other element has
-them looked up once, on its first query, and moves all it keeps to the
-tables of an equal copy of its scheme (equal roots, reflections and
-action, as replace() makes).  Length and the canonical reduced word are
-both read off one walk that strips right descents, made once per element
-and kept with its indices.  An element keeps at most one word that
+them looked up once, on its first query.  Length and the canonical
+reduced word are both read off one walk that strips right descents, made
+once per element and kept with its indices.  An element keeps at most one word that
 evaluates to it: the word it was evaluated from, or its canonical word
 once walked; the longest element keeps the word of the walk that built
 it (longest_element).  A reflection at i |> a undoes the one at a, so an
@@ -240,26 +238,19 @@ def inverse(g: GroupoidElement) -> GroupoidElement:
     return _keep(_element(tables, g.target, g.source, cols), tables, cols, word=back)
 
 
-# what an element's kept indices and word mean on a set of root tables
-_table_data = operator.attrgetter("roots", "sigma", "action")
-
-
 def _indices(s: RootGroupoidScheme, g: GroupoidElement) -> list:
     """The nonzero g's [tables, column indices, stripped letters or None,
     word or None] for s (_keep).
 
     Raises as s.root_tables does first.  The entry that _keep left is
-    used when its tables are s's own, and moved to them, word and walk
-    intact, when its tables hold equal roots, reflections and action (as
-    an equal replace() copy's do).  Otherwise g must fit s (source and
+    used when its tables are s's own; otherwise g must fit s (source and
     target objects of s, a rank x rank matrix, else ValueError), each
     column is looked up once among the roots of g's target (ValueError
     if one is not a root), and the result is kept in the same way.
     """
     tables = s.root_tables
     entry = vars(g).get("_indices")
-    if entry is not None and (entry[0] is tables or _table_data(entry[0]) == _table_data(tables)):
-        entry[0] = tables
+    if entry is not None and entry[0] is tables:
         return entry
     n, rank = s.n_objects, s.rank
     if not (0 <= g.source < n and 0 <= g.target < n):

@@ -863,45 +863,6 @@ def test_copies_and_other_tables_fall_back_to_the_dense_kernels(ex5):
         assert gh == _product(g, h) and "_indices" not in vars(gh)
 
 
-def test_an_equal_scheme_keeps_the_word_and_the_walk(ex5, monkeypatch):
-    walks = []
-    stripped_letters = groupoid_module._stripped_letters
-    monkeypatch.setattr(
-        groupoid_module, "_stripped_letters", lambda *args: walks.append(args) or stripped_letters(*args)
-    )
-    t = dataclasses.replace(ex5)
-    g = wg.element_of_word(ex5, LONGEST_A)
-    # asked of the copy, the entry moves to its tables with its word
-    descents = [wg.is_descent(ex5, g, j) for j in range(3)]
-    assert [wg.is_descent(t, g, j) for j in range(3)] == descents
-    assert vars(g)["_indices"][0] is t.root_tables
-    assert vars(g)["_indices"][2:] == [None, LONGEST_A.letters]
-    inv = wg.inverse(g)
-    assert inv == _dense(g)
-    assert vars(inv)["_indices"][0] is t.root_tables
-    assert vars(inv)["_indices"][3] == LONGEST_A.letters[::-1]
-    # one walk serves both schemes
-    assert wg.length(ex5, g) == 10 and len(walks) == 1
-    assert wg.length(t, g) == 10 and len(walks) == 1
-    assert wg.canonical_reduced_word(t, g) == wg.canonical_reduced_word(ex5, g)
-    assert len(walks) == 1 and vars(g)["_indices"][0] is ex5.root_tables
-    # and so does the longest element's own walk
-    w0 = wg.longest_element(ex5, B)
-    assert wg.length(t, w0) == 10 and walks == [walks[0]]
-
-
-def test_other_root_data_looks_an_element_up_afresh(ex5):
-    bi3 = LONGEST_SCHEMES["BI3"]()
-    # this word of the example is an element of BI3 as well
-    g = wg.element_of_word(ex5, Word(3, (0, 1, 0)))
-    descents = [min(column) < 0 for column in zip(*g.matrix)]
-    assert [wg.is_descent(bi3, g, j) for j in range(3)] == descents
-    entry = vars(g)["_indices"]
-    assert entry[0] is bi3.root_tables and entry[2:] == [None, None]
-    assert "_indices" not in vars(wg.inverse(g))
-    assert wg.length(bi3, g) == _dot_product_length(bi3, g) == 3
-
-
 def test_elements_built_from_matrices_keep_the_dense_kernels(ex5):
     m = wg.element_of_word(ex5, LONGEST_A)
     built = wg.GroupoidElement(m.source, m.target, m.matrix)
