@@ -10,9 +10,10 @@ discovered as fingerprints of those invariants.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 
 from .intmat import Matrix
-from .scheme import GENERATED, RootGroupoidScheme, _relabelled, _walk_objects
+from .scheme import GENERATED, RootGroupoidScheme, _built, _relabelled, _walk_objects
 
 GENERIC = "generic"
 
@@ -21,10 +22,27 @@ class NotArithmeticError(ValueError):
     """No finite reflection coefficient exists at some (object, generator)."""
 
 
+def _int_matrix(m: Matrix, name: str, entry: str) -> int:
+    """The size of m, after ValueError unless m is a nonempty square
+    sequence of rows of ints (a bool is none); name words the matrix and
+    entry its entries in the message."""
+    if not isinstance(m, Sequence):
+        raise ValueError(f"{name} must be a sequence of rows, got {m!r}")
+    for j, row in enumerate(m):
+        if not isinstance(row, Sequence):
+            raise ValueError(f"{name} row [{j}] must be a sequence, got {row!r}")
+    n = len(m)
+    if n == 0 or any(len(row) != n for row in m):
+        raise ValueError(f"{name} must be square and nonempty")
+    for j, row in enumerate(m):
+        for k, e in enumerate(row):
+            if type(e) is not int:
+                raise ValueError(f"{entry} [{j}][{k}] must be an integer, got {e!r}")
+    return n
+
+
 def _check_cartan(c: Matrix) -> int:
-    n = len(c)
-    if n == 0 or any(len(row) != n for row in c):
-        raise ValueError("Cartan matrix must be square and nonempty")
+    n = _int_matrix(c, "Cartan matrix", "Cartan matrix entry")
     for i in range(n):
         if c[i][i] != 2:
             raise ValueError(f"Cartan matrix diagonal entry [{i}][{i}] must be 2")
@@ -42,11 +60,14 @@ def from_cartan(c: Matrix) -> RootGroupoidScheme:
 
     The reflection coefficient of generator i on index j is -c[i][j], so
     the reflection is the usual simple reflection of the root lattice.
-    Returned in generated mode; call generate_roots to materialize.
+    Returned in generated mode; call generate_roots to materialize.  A
+    matrix that is not a nonempty square sequence of rows of ints (a bool
+    is none) raises ValueError before anything else is checked, so the
+    scheme is built from tables typed here (scheme._built).
     """
     n = _check_cartan(c)
     coefficients = tuple((tuple(-1 if j == i else -c[i][j] for j in range(n)),) for i in range(n))
-    return RootGroupoidScheme(
+    return _built(
         rank=n, objects=("a",), action=((0,),) * n, coefficients=coefficients, mode=GENERATED
     )
 
@@ -120,16 +141,12 @@ def from_bicharacter(
     finite value or some diagonal exponent degenerates to zero, and
     ValueError when the object cutoff is exceeded.  A cutoff that is no
     int (a bool is none) or is below 1, and an order that is neither None
-    nor such an int of at least 1, and an exponent entry that is no int,
-    raise ValueError before any object is discovered.
+    nor such an int of at least 1, and an exponent matrix that is not a
+    nonempty square sequence of rows of ints, raise ValueError before any
+    object is discovered; so the scheme is built from tables typed here
+    (scheme._built).
     """
-    n = len(exponents)
-    if n == 0 or any(len(row) != n for row in exponents):
-        raise ValueError("exponent matrix must be square and nonempty")
-    for j, row in enumerate(exponents):
-        for k, e in enumerate(row):
-            if type(e) is not int:
-                raise ValueError(f"exponent entry [{j}][{k}] must be an integer, got {e!r}")
+    n = _int_matrix(exponents, "exponent matrix", "exponent entry")
     if order is not None and type(order) is not int:
         raise ValueError(f"order must be None or an integer, got {order!r}")
     if type(cutoff) is not int:
@@ -190,7 +207,7 @@ def from_bicharacter(
             action[i].append(index_of[target_fp])
             coefficients[i].append(tuple(coeff))
 
-    return RootGroupoidScheme(
+    return _built(
         rank=n,
         objects=tuple(str(k) for k in range(len(objects))),
         action=tuple(tuple(row) for row in action),

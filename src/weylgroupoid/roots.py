@@ -12,7 +12,7 @@ action row is not a permutation or an image leaves the positive cone.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from operator import mul
 from typing import Sequence
 
@@ -23,6 +23,7 @@ from .scheme import (
     TRUNCATED,
     RootGroupoidScheme,
     RootTables,
+    _built,
     _require_roots,
     check_generator,
     check_object,
@@ -74,6 +75,10 @@ def generate_roots(s: RootGroupoidScheme, cutoff: int) -> RootGroupoidScheme:
     its positive half together with the negatives.  The constructor has
     checked the shape of the tables, and the axioms are validate's to
     check.
+
+    The result is built without the constructor's check (scheme._built):
+    its other fields are s's, and its root sets are tuples of int tuples
+    that the sweep made from s's int coefficients.
     """
     if s.mode != GENERATED:
         raise ValueError("root generation applies to generated-mode schemes")
@@ -104,8 +109,11 @@ def generate_roots(s: RootGroupoidScheme, cutoff: int) -> RootGroupoidScheme:
             for vs, pos in zip(found, positive)
         ))
     )
-    status = FINITE if finite else TRUNCATED
-    return replace(s, positive_roots=positive, status=status, cutoff=cutoff)
+    return _built(
+        rank=s.rank, objects=s.objects, action=s.action, coefficients=s.coefficients,
+        mode=s.mode, positive_roots=positive, status=FINITE if finite else TRUNCATED,
+        cutoff=cutoff,
+    )
 
 
 def _sweep(

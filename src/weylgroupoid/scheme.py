@@ -17,6 +17,8 @@ A scheme's types, shape and -1 at entry i of each coefficient vector
 are checked once, when it is constructed, so every table holds ints and
 reads as the rank and the object count claim, and every coefficient
 vector is row i of its reflection matrix; validate() checks the axioms.
+The library's constructors skip that check (_built) only where they
+build from parts they have typed themselves.
 
 Generators and objects are 0-based integers throughout the API.  Witness
 strings in validation reports use 1-based generator labels and object
@@ -88,6 +90,13 @@ class RootGroupoidScheme:
     worded as load_scheme words it in a file.  The other rules on values
     are the file format's (_check_values), and whether the data
     satisfies the axioms is validate's question.
+
+    Every value from outside the library passes this check: direct
+    construction, dataclasses.replace and load_scheme run it.  The
+    library's own constructors (from_cartan, from_bicharacter and
+    generate_roots) build their result by _built instead, from parts they
+    have typed themselves or read off a checked scheme, so they do not
+    pay for the check again.
     """
 
     rank: int
@@ -201,6 +210,25 @@ class RootGroupoidScheme:
             r = next(r for r in report.results if not r.passed)
             vars(self)["_gate_failure"] = f"axiom {r.axiom} FAIL ({r.witness})"
         raise InconsistentSchemeError(vars(self)["_gate_failure"])
+
+
+def _built(
+    *, rank, objects, action, coefficients, mode, positive_roots=None, status=None, cutoff=None
+) -> RootGroupoidScheme:
+    """A scheme of these fields, without the constructor's check.
+
+    Only for library code whose every field is one of a checked scheme or
+    a value of the right type and shape that the caller has just built
+    from checked ones: tuples all the way down, ints where ints belong.
+    Such a scheme is one the constructor would accept, so equality,
+    hashing and dataclasses.replace treat it as any other.
+    """
+    s = object.__new__(RootGroupoidScheme)
+    vars(s).update(
+        rank=rank, objects=objects, action=action, coefficients=coefficients, mode=mode,
+        positive_roots=positive_roots, status=status, cutoff=cutoff,
+    )
+    return s
 
 
 @dataclass(frozen=True, eq=False)

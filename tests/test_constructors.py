@@ -60,6 +60,26 @@ def test_from_cartan_rejects_bad_matrices():
         from_cartan(((2, -1),))
 
 
+@pytest.mark.parametrize(
+    "matrix, message",
+    [
+        (((2, "x"), (-1, 2)), "Cartan matrix entry [0][1] must be an integer, got 'x'"),
+        (((2.0, -1), (-1, 2)), "Cartan matrix entry [0][0] must be an integer, got 2.0"),
+        (((2, -1), (True, 2)), "Cartan matrix entry [1][0] must be an integer, got True"),
+        (((2, -1), (-1, 2.0)), "Cartan matrix entry [1][1] must be an integer, got 2.0"),
+        ((2,), "Cartan matrix row [0] must be a sequence, got 2"),
+        (2, "Cartan matrix must be a sequence of rows, got 2"),
+        ({(2,)}, "Cartan matrix must be a sequence of rows, got {(2,)}"),
+    ],
+    ids=["str", "float-diagonal", "bool", "float-last", "flat", "int", "set"],
+)
+def test_from_cartan_refuses_a_matrix_that_is_no_int_matrix(matrix, message):
+    # each used to raise a raw TypeError, or (a float on the diagonal) to
+    # be accepted
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        from_cartan(matrix)
+
+
 # ---------------------------------------------------------------------------
 # bicharacter constructors
 
@@ -131,6 +151,25 @@ def test_from_bicharacter_refuses_an_exponent_that_is_no_int(exponents, message,
     monkeypatch.setattr(wg.constructors, "basis_fingerprint", no_discovery)
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         from_bicharacter(exponents, 8, 4)
+
+
+@pytest.mark.parametrize(
+    "exponents, message",
+    [
+        ((1,), "exponent matrix row [0] must be a sequence, got 1"),
+        (((2, 1), 0), "exponent matrix row [1] must be a sequence, got 0"),
+        (7, "exponent matrix must be a sequence of rows, got 7"),
+    ],
+    ids=["flat", "second-row-int", "int"],
+)
+def test_from_bicharacter_refuses_a_matrix_that_is_not_a_sequence_of_rows(exponents, message, monkeypatch):
+    # each used to raise a raw TypeError: object of type 'int' has no len()
+    def no_discovery(*args):
+        raise AssertionError("discovered an object")
+
+    monkeypatch.setattr(wg.constructors, "basis_fingerprint", no_discovery)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        from_bicharacter(exponents, 3, 5)
 
 
 def test_order_four_multi_object_regression():
