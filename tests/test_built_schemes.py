@@ -12,43 +12,19 @@ import dataclasses
 import itertools
 import json
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import weylgroupoid as wg
 from test_roots import E8, _sweep_schemes
+from test_scheme import CARTAN_TYPES, _cartan
 
 BI3 = ((3, 2, 0), (0, 3, 2), (0, 0, 3))
 
 
-def _cartan(n, bonds):
-    """Cartan matrix of rank n; bonds maps (i, j) to (c_ij, c_ji)."""
-    c = [[2 if i == j else 0 for j in range(n)] for i in range(n)]
-    for (i, j), (cij, cji) in bonds.items():
-        c[i][j], c[j][i] = cij, cji
-    return c
-
-
-def _chain(n):
-    return {(k, k + 1): (-1, -1) for k in range(n - 1)}
-
-
-FINITE_TYPES = {
-    "A1": _cartan(1, {}),
-    "A4": _cartan(4, _chain(4)),
-    "B3": _cartan(3, {**_chain(2), (1, 2): (-1, -2)}),
-    "C4": _cartan(4, {**_chain(3), (2, 3): (-2, -1)}),
-    "D5": _cartan(5, {**_chain(4), (2, 4): (-1, -1)}),
-    "F4": _cartan(4, {**_chain(4), (1, 2): (-1, -2)}),
-    "G2": _cartan(2, {(0, 1): (-1, -3)}),
-    "E6": _cartan(6, {**_chain(5), (2, 5): (-1, -1)}),
-}
-
-
 @st.composite
 def _relabelled_finite_types(draw):
-    c = FINITE_TYPES[draw(st.sampled_from(sorted(FINITE_TYPES)))]
+    c = CARTAN_TYPES[draw(st.sampled_from(sorted(CARTAN_TYPES)))][0]
     perm = draw(st.permutations(range(len(c))))
     return [[c[perm[i]][perm[j]] for j in range(len(c))] for i in range(len(c))]
 
@@ -163,15 +139,3 @@ def test_the_check_runs_on_outside_values_only(ex5, monkeypatch):
     doc["roots"][0].reverse()
     assert checks(lambda: wg.load_scheme(json.dumps(doc))) == (2, ex5)
 
-
-@pytest.mark.parametrize("build", [
-    lambda: wg.from_cartan(E8),
-    lambda: wg.from_bicharacter(BI3, 12, 6),
-    lambda: wg.generate_roots(wg.from_bicharacter(BI3, 12, 6), 12),
-], ids=["from_cartan", "from_bicharacter", "generate_roots"])
-def test_built_scheme_equals_and_hashes_as_a_checked_one(build):
-    s = build()
-    checked = wg.RootGroupoidScheme(**{f.name: getattr(s, f.name) for f in dataclasses.fields(s)})
-    assert s == checked and hash(s) == hash(checked)
-    assert wg.save_scheme(s) == wg.save_scheme(checked)
-    assert repr(s) == repr(checked)
